@@ -261,15 +261,23 @@ impl RankCtx {
         let Some(h) = self.cluster.fault_hook() else {
             return false;
         };
-        let mut fired = false;
-        for peer in 0..self.sampler_comm.num_ranks() {
-            if h.worker_recovers(peer, WorkerKind::Sampler, batch) {
-                ds_trace::instant(clock.now(), "rejoin", batch);
-                self.rejoin_sampler(sampler, peer, batch);
-                fired = true;
-            }
+        let n = self.sampler_comm.num_ranks();
+        let due = |peer: usize| h.worker_recovers(peer, WorkerKind::Sampler, batch);
+        if !(0..n).any(due) {
+            return false;
         }
-        fired
+        // Every rank evaluates this predicate at the same batch but not
+        // at the same wall time. Meet first: once all samplers stand at
+        // this boundary, every one has left its last round and skipped
+        // its CCC entries for the window, so the readmission below
+        // cannot overtake a slower rank's skip.
+        self.sup
+            .rendezvous((self.epoch, batch), n, self.sampler_comm.config().deadline);
+        for peer in (0..n).filter(|&p| due(p)) {
+            ds_trace::instant(clock.now(), "rejoin", batch);
+            self.rejoin_sampler(sampler, peer, batch);
+        }
+        true
     }
 
     /// Folds the loader's batch-keyed shard-rebuild status into the

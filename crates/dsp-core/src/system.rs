@@ -103,7 +103,7 @@ mod tests {
         let mut neighbors = Vec::new();
         for &v in &[5u32, 6] {
             let mut rng = request_rng(7, 0, 0, v);
-            neighbors.extend(local::sample_uniform(g.neighbors(v), 3, &mut rng));
+            local::sample_uniform_into(g.neighbors(v), 3, &mut rng, &mut neighbors);
             offsets.push(neighbors.len() as u32);
         }
         let train0 = GraphSample::new(

@@ -6,45 +6,35 @@
 //! traffic and modelled time differ. That isolates exactly what the
 //! paper's Tables 4/6 and Figures 1/11 measure.
 
+use crate::csp::CspConfig;
 use crate::local::{self, request_rng};
-use crate::sample::{GraphSample, SampleLayer};
+use crate::sample::{next_dst, GraphSample, SampleLayer};
 use crate::{BatchSampler, DistGraph};
 use ds_comm::Communicator;
 use ds_graph::{Csr, NodeId};
 use ds_simgpu::{Clock, Cluster};
 use std::sync::Arc;
 
-/// Samples one layer on a locally-accessible full topology, via the
-/// shared deterministic RNG. Returns (offsets, neighbors).
-fn sample_layer_local(
+/// The draw configuration of a baseline: node-wise, the caller's
+/// fan-out and seed — what [`local::sample_frontier`] keys its draws on.
+fn baseline_cfg(fanout: Vec<usize>, biased: bool, seed: u64) -> CspConfig {
+    CspConfig {
+        biased,
+        ..CspConfig::node_wise(fanout).with_seed(seed)
+    }
+}
+
+/// One layer's draws on a locally-accessible full topology, in
+/// `frontier` order. Returns (offsets, neighbors).
+fn sample_layer(
     g: &Csr,
-    seed: u64,
+    cfg: &CspConfig,
     batch: u64,
     layer: usize,
     frontier: &[NodeId],
-    fanout: usize,
-    biased: bool,
 ) -> (Vec<u32>, Vec<NodeId>) {
-    let mut offsets = Vec::with_capacity(frontier.len() + 1);
-    offsets.push(0u32);
-    let mut neighbors = Vec::new();
-    for &v in frontier {
-        let mut rng = request_rng(seed, batch, layer, v);
-        let nb = g.neighbors(v);
-        let sampled = if nb.is_empty() {
-            Vec::new()
-        } else if biased {
-            let ws = g
-                .neighbor_weights(v)
-                .expect("biased sampling on unweighted graph");
-            local::sample_weighted(nb, ws, fanout, &mut rng)
-        } else {
-            local::sample_uniform(nb, fanout, &mut rng)
-        };
-        neighbors.extend(sampled);
-        offsets.push(neighbors.len() as u32);
-    }
-    (offsets, neighbors)
+    let fan = cfg.fanout[layer] as u32;
+    local::sample_frontier(g, cfg, batch, layer, frontier.iter().map(|&v| (v, fan)))
 }
 
 /// Which UVA-based system is being modelled.
@@ -64,10 +54,8 @@ pub struct UvaSampler {
     graph: Arc<Csr>,
     cluster: Arc<Cluster>,
     rank: usize,
-    fanout: Vec<usize>,
-    biased: bool,
+    cfg: CspConfig,
     variant: UvaVariant,
-    seed: u64,
     batch_index: u64,
 }
 
@@ -86,10 +74,8 @@ impl UvaSampler {
             graph,
             cluster,
             rank,
-            fanout,
-            biased,
+            cfg: baseline_cfg(fanout, biased, seed),
             variant,
-            seed,
             batch_index: 0,
         }
     }
@@ -114,24 +100,16 @@ impl BatchSampler for UvaSampler {
 
         let batch = self.batch_index;
         self.batch_index += 1;
-        let mut frontier: Vec<NodeId> = seeds.to_vec();
-        let mut layers = Vec::with_capacity(self.fanout.len());
-        for (l, &fan) in self.fanout.clone().iter().enumerate() {
+        let mut layers = Vec::with_capacity(self.cfg.fanout.len());
+        for l in 0..self.cfg.fanout.len() {
+            let frontier = next_dst(seeds, &layers);
             // indptr lookups: one 16 B UVA read per frontier node.
             clock.work_on(
                 self.cluster.uva_read(self.rank, frontier.len() as u64, 16),
                 ds_simgpu::clock::ResKind::Pcie,
             );
-            let (offsets, neighbors) = sample_layer_local(
-                &self.graph,
-                self.seed,
-                batch,
-                l,
-                &frontier,
-                fan,
-                self.biased,
-            );
-            if self.biased {
+            let (offsets, neighbors) = sample_layer(&self.graph, &self.cfg, batch, l, &frontier);
+            if self.cfg.biased {
                 // Biased sampling must read each node's whole adjacency
                 // and weight lists (§4.2): one large UVA read per node.
                 for &v in &frontier {
@@ -156,13 +134,12 @@ impl BatchSampler for UvaSampler {
                     .gpu
                     .time_full(neighbors.len() as u64, model.sample_cycles_per_item),
             );
-            let layer = SampleLayer::new(frontier.clone(), offsets, neighbors);
+            let layer = SampleLayer::new(frontier, offsets, neighbors);
             clock.work(
                 model
                     .gpu
                     .time_full(layer.src.len() as u64, 4.0 * model.scan_cycles_per_item),
             );
-            frontier = layer.src.clone();
             layers.push(layer);
         }
         GraphSample::new(seeds.to_vec(), layers)
@@ -187,9 +164,8 @@ pub struct CpuSampler {
     rank: usize,
     /// Number of concurrent training processes (= GPUs) sharing the CPU.
     workers: usize,
-    fanout: Vec<usize>,
+    cfg: CspConfig,
     variant: CpuVariant,
-    seed: u64,
     batch_index: u64,
 }
 
@@ -209,9 +185,8 @@ impl CpuSampler {
             cluster,
             rank,
             workers,
-            fanout,
+            cfg: baseline_cfg(fanout, false, seed),
             variant,
-            seed,
             batch_index: 0,
         }
     }
@@ -222,20 +197,17 @@ impl BatchSampler for CpuSampler {
         let model = *self.cluster.model();
         let batch = self.batch_index;
         self.batch_index += 1;
-        let mut frontier: Vec<NodeId> = seeds.to_vec();
-        let mut layers = Vec::with_capacity(self.fanout.len());
+        let mut layers = Vec::with_capacity(self.cfg.fanout.len());
         let mut total_sampled = 0u64;
         let mut touched_bytes = 0u64;
-        for (l, &fan) in self.fanout.clone().iter().enumerate() {
-            let (offsets, neighbors) =
-                sample_layer_local(&self.graph, self.seed, batch, l, &frontier, fan, false);
+        for l in 0..self.cfg.fanout.len() {
+            let frontier = next_dst(seeds, &layers);
+            let (offsets, neighbors) = sample_layer(&self.graph, &self.cfg, batch, l, &frontier);
             total_sampled += neighbors.len() as u64;
             // CPU touches the adjacency metadata of each frontier node
             // plus one cache line per sampled neighbor.
             touched_bytes += frontier.len() as u64 * 16 + neighbors.len() as u64 * 64;
-            let layer = SampleLayer::new(frontier.clone(), offsets, neighbors);
-            frontier = layer.src.clone();
-            layers.push(layer);
+            layers.push(SampleLayer::new(frontier, offsets, neighbors));
         }
         // Host-side sampling time: fixed batch overhead + per-item cost
         // on this worker's share of the cores.
@@ -307,9 +279,9 @@ impl BatchSampler for PullDataSampler {
         let model = *self.cluster.model();
         let batch = self.batch_index;
         self.batch_index += 1;
-        let mut frontier: Vec<NodeId> = seeds.to_vec();
         let mut layers = Vec::with_capacity(self.fanout.len());
-        for (l, &fan) in self.fanout.clone().iter().enumerate() {
+        for (l, &fan) in self.fanout.iter().enumerate() {
+            let frontier = next_dst(seeds, &layers);
             clock.work(
                 model
                     .gpu
@@ -362,25 +334,28 @@ impl BatchSampler for PullDataSampler {
                     off
                 })
                 .collect();
-            let mut offsets = vec![0u32];
-            let mut neighbors = Vec::new();
+            let mut offsets = Vec::with_capacity(frontier.len() + 1);
+            offsets.push(0u32);
+            let mut neighbors = Vec::with_capacity(frontier.len() * fan);
             for (i, &v) in frontier.iter().enumerate() {
                 let (owner, idx) = placement[i];
                 let lo = offsets_of[owner][idx as usize] as usize;
                 let hi = offsets_of[owner][idx as usize + 1] as usize;
+                // Draw straight from the pulled (id, weight) pairs.
                 let pulled = &recv_lists[owner][lo..hi];
                 let mut rng = request_rng(self.seed, batch, l, v);
-                let sampled: Vec<NodeId> = if pulled.is_empty() {
-                    Vec::new()
-                } else if self.biased {
-                    let nb: Vec<NodeId> = pulled.iter().map(|&(u, _)| u).collect();
-                    let ws: Vec<f32> = pulled.iter().map(|&(_, w)| w).collect();
-                    local::sample_weighted(&nb, &ws, fan, &mut rng)
+                if self.biased {
+                    local::sample_weighted_into(
+                        pulled.iter().copied(),
+                        fan,
+                        &mut rng,
+                        &mut neighbors,
+                    );
                 } else {
-                    let nb: Vec<NodeId> = pulled.iter().map(|&(u, _)| u).collect();
-                    local::sample_uniform(&nb, fan, &mut rng)
-                };
-                neighbors.extend(sampled);
+                    local::sample_positions(pulled.len(), fan, &mut rng, |p| {
+                        neighbors.push(pulled[p].0)
+                    });
+                }
                 offsets.push(neighbors.len() as u32);
             }
             clock.work(
@@ -388,13 +363,12 @@ impl BatchSampler for PullDataSampler {
                     .gpu
                     .time_full(neighbors.len() as u64, model.sample_cycles_per_item),
             );
-            let layer = SampleLayer::new(frontier.clone(), offsets, neighbors);
+            let layer = SampleLayer::new(frontier, offsets, neighbors);
             clock.work(
                 model
                     .gpu
                     .time_full(layer.src.len() as u64, 4.0 * model.scan_cycles_per_item),
             );
-            frontier = layer.src.clone();
             layers.push(layer);
         }
         GraphSample::new(seeds.to_vec(), layers)
@@ -408,8 +382,7 @@ pub struct IdealSampler {
     graph: Arc<Csr>,
     cluster: Arc<Cluster>,
     rank: usize,
-    fanout: Vec<usize>,
-    seed: u64,
+    cfg: CspConfig,
     batch_index: u64,
 }
 
@@ -426,8 +399,7 @@ impl IdealSampler {
             graph,
             cluster,
             rank,
-            fanout,
-            seed,
+            cfg: baseline_cfg(fanout, false, seed),
             batch_index: 0,
         }
     }
@@ -437,11 +409,10 @@ impl BatchSampler for IdealSampler {
     fn sample_batch(&mut self, clock: &mut Clock, seeds: &[NodeId]) -> GraphSample {
         let batch = self.batch_index;
         self.batch_index += 1;
-        let mut frontier: Vec<NodeId> = seeds.to_vec();
-        let mut layers = Vec::with_capacity(self.fanout.len());
-        for (l, &fan) in self.fanout.clone().iter().enumerate() {
-            let (offsets, neighbors) =
-                sample_layer_local(&self.graph, self.seed, batch, l, &frontier, fan, false);
+        let mut layers = Vec::with_capacity(self.cfg.fanout.len());
+        for l in 0..self.cfg.fanout.len() {
+            let frontier = next_dst(seeds, &layers);
+            let (offsets, neighbors) = sample_layer(&self.graph, &self.cfg, batch, l, &frontier);
             // Exactly 4 bytes per sampled id, over NVLink, all remote.
             let bytes = neighbors.len() as u64 * 4;
             self.cluster
@@ -454,9 +425,7 @@ impl BatchSampler for IdealSampler {
                 .nvlink_egress_bw(self.rank)
                 .max(ds_simgpu::topology::NVLINK_LINK_BW);
             clock.work_on(bytes as f64 / bw, ds_simgpu::clock::ResKind::NvLink);
-            let layer = SampleLayer::new(frontier.clone(), offsets, neighbors);
-            frontier = layer.src.clone();
-            layers.push(layer);
+            layers.push(SampleLayer::new(frontier, offsets, neighbors));
         }
         GraphSample::new(seeds.to_vec(), layers)
     }

@@ -23,7 +23,7 @@
 
 use crate::dist_graph::DistGraph;
 use crate::local;
-use crate::sample::{GraphSample, SampleLayer};
+use crate::sample::{next_dst, GraphSample, SampleLayer};
 use crate::BatchSampler;
 use ds_comm::{CommError, Communicator};
 use ds_graph::NodeId;
@@ -243,32 +243,16 @@ impl CspSampler {
         (sends, placement)
     }
 
-    /// One node's draw for `layer` of the current batch — the same
-    /// result regardless of which rank executes it (placement-
-    /// independent RNG), which is what makes a degraded local re-sample
-    /// bit-identical to the collective version. Spill accounting for
-    /// host-resident adjacency accumulates into the two counters; the
-    /// draw itself is [`crate::shadow::draw_neighbors`], shared with the
-    /// shadow replay so prefetch predictions cannot drift.
-    fn sample_node(
-        &self,
-        layer: usize,
-        node: NodeId,
-        count: u32,
-        spilled_nodes: &mut u64,
-        spilled_reads: &mut u64,
-    ) -> Vec<NodeId> {
-        let nb = self.graph.neighbors(node);
-        if !self.graph.is_resident(node) {
-            *spilled_nodes += 1;
-            *spilled_reads += if self.cfg.biased {
-                // Whole adjacency + weight list.
-                (nb.len() as u64 * 8).div_ceil(32)
-            } else {
-                count.min(nb.len() as u32) as u64
-            };
+    /// 32 B UVA reads to draw `count` neighbors of `node` from an
+    /// adjacency list that sits in host memory.
+    fn host_reads(&self, node: NodeId, count: u32) -> u64 {
+        let degree = self.graph.degree(node) as u64;
+        if self.cfg.biased {
+            // Whole adjacency + weight list.
+            (degree * 8).div_ceil(32)
+        } else {
+            (count as u64).min(degree)
         }
-        crate::shadow::draw_neighbors(&self.graph, &self.cfg, self.batch_index, layer, node, count)
     }
 
     /// Stage 1+2+3 for one layer given per-frontier-node counts.
@@ -351,19 +335,22 @@ impl CspSampler {
         let replies: Vec<(Vec<u32>, Vec<NodeId>)> = requests
             .into_iter()
             .map(|reqs| {
-                let mut counts_out = Vec::with_capacity(reqs.len());
-                let mut flat = Vec::new();
-                for (node, count) in reqs {
-                    let sampled = self.sample_node(
-                        layer,
-                        node,
-                        count,
-                        &mut spilled_nodes,
-                        &mut spilled_reads,
-                    );
-                    counts_out.push(sampled.len() as u32);
-                    flat.extend(sampled);
+                for &(node, count) in &reqs {
+                    if !self.graph.is_resident(node) {
+                        spilled_nodes += 1;
+                        spilled_reads += self.host_reads(node, count);
+                    }
                 }
+                // The draws are placement-independent, so the degraded
+                // pull path and the shadow replay reproduce them exactly.
+                let (offsets, flat) = local::sample_frontier(
+                    &*self.graph,
+                    &self.cfg,
+                    self.batch_index,
+                    layer,
+                    reqs.iter().copied(),
+                );
+                let counts_out = offsets.windows(2).map(|w| w[1] - w[0]).collect();
                 (counts_out, flat)
             })
             .collect();
@@ -443,26 +430,24 @@ impl CspSampler {
         );
         let mut pulled_nodes = 0u64;
         let mut pulled_reads = 0u64;
-        let mut offsets = Vec::with_capacity(frontier.len() + 1);
-        offsets.push(0u32);
-        let mut neighbors = Vec::new();
-        for (i, &node) in frontier.iter().enumerate() {
+        for (&node, &count) in frontier.iter().zip(counts) {
             // Remote adjacency is a UVA pull here even when its owner
             // had it resident; host-spilled local lists charge as usual.
             if self.graph.owner(node) != self.rank {
                 pulled_nodes += 1;
-                pulled_reads += counts[i].min(self.graph.degree(node) as u32) as u64;
-                let mut ignored = (0u64, 0u64);
-                let sampled =
-                    self.sample_node(layer, node, counts[i], &mut ignored.0, &mut ignored.1);
-                neighbors.extend(sampled);
-            } else {
-                let sampled =
-                    self.sample_node(layer, node, counts[i], &mut pulled_nodes, &mut pulled_reads);
-                neighbors.extend(sampled);
+                pulled_reads += count.min(self.graph.degree(node) as u32) as u64;
+            } else if !self.graph.is_resident(node) {
+                pulled_nodes += 1;
+                pulled_reads += self.host_reads(node, count);
             }
-            offsets.push(neighbors.len() as u32);
         }
+        let (offsets, neighbors) = local::sample_frontier(
+            &*self.graph,
+            &self.cfg,
+            self.batch_index,
+            layer,
+            frontier.iter().copied().zip(counts.iter().copied()),
+        );
         if pulled_nodes > 0 {
             let t = self.cluster.uva_read(self.rank, pulled_nodes, 16)
                 + self.cluster.uva_read(self.rank, pulled_reads, 32);
@@ -543,10 +528,11 @@ impl CspSampler {
         seeds: &[NodeId],
     ) -> Result<GraphSample, CommError> {
         let batch = self.batch_index;
-        let mut frontier: Vec<NodeId> = seeds.to_vec();
-        let fanout = self.cfg.fanout.clone();
-        let mut layers = Vec::with_capacity(fanout.len());
-        for (l, &fan) in fanout.iter().enumerate() {
+        let model = *self.cluster.model();
+        let mut layers: Vec<SampleLayer> = Vec::with_capacity(self.cfg.fanout.len());
+        for l in 0..self.cfg.fanout.len() {
+            let fan = self.cfg.fanout[l];
+            let frontier = next_dst(seeds, &layers);
             let counts: Vec<u32> = match self.cfg.scheme {
                 Scheme::NodeWise => vec![fan as u32; frontier.len()],
                 Scheme::LayerWise { .. } => {
@@ -564,15 +550,13 @@ impl CspSampler {
             } else {
                 self.try_sample_layer(clock, l, &frontier, &counts)?
             };
-            let layer = SampleLayer::new(frontier.clone(), offsets, neighbors);
+            let layer = SampleLayer::new(frontier, offsets, neighbors);
             // Dedup/sort kernel for the next frontier.
-            let model = *self.cluster.model();
             clock.work(
                 model
                     .gpu
                     .time_full(layer.src.len() as u64, 4.0 * model.scan_cycles_per_item),
             );
-            frontier = layer.src.clone();
             layers.push(layer);
         }
         self.batch_index += 1;

@@ -209,6 +209,18 @@ impl DistGraph {
     }
 }
 
+impl crate::local::Adjacency for DistGraph {
+    #[inline]
+    fn adjacency(&self, v: NodeId) -> (&[NodeId], Option<&[f32]>) {
+        let r = self.owner(v);
+        let local = v - self.range_starts[r];
+        (
+            self.patches[r].neighbors(local),
+            self.patches[r].neighbor_weights(local),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,30 @@
 //! Local neighbor-sampling kernels — what each GPU executes in CSP's
 //! *sample* stage (and what the UVA/CPU baselines run per frontier node).
+//!
+//! The RNG consumption order is the ABI: [`draw_neighbors_into`] is the
+//! single source of truth for one node's draw and [`sample_frontier`]
+//! for the per-frontier loop around it. The collective sampler, its
+//! degraded pull path, the shadow replay, [`local_sample`] and the
+//! baselines all go through them, so they cannot drift apart — and all
+//! of them append into caller-owned flat buffers, no per-node `Vec`.
 
-use crate::sample::{GraphSample, SampleLayer};
+use crate::csp::{CspConfig, Scheme};
+use crate::sample::{next_dst, GraphSample, SampleLayer};
 use ds_graph::{Csr, NodeId};
 use ds_rng::Rng;
+
+/// Adjacency lookup the draw kernels need: the whole topology ([`Csr`])
+/// or its partitioned layout ([`crate::DistGraph`]).
+pub trait Adjacency {
+    /// Neighbor ids of global node `v` and, if weighted, their weights.
+    fn adjacency(&self, v: NodeId) -> (&[NodeId], Option<&[f32]>);
+}
+
+impl Adjacency for Csr {
+    fn adjacency(&self, v: NodeId) -> (&[NodeId], Option<&[f32]>) {
+        (self.neighbors(v), self.neighbor_weights(v))
+    }
+}
 
 /// Derives the RNG for one sampling request from logical identifiers
 /// only — (base seed, batch, layer, node) — never from placement. Every
@@ -35,80 +56,168 @@ pub fn local_sample(
     seed: u64,
     batch: u64,
 ) -> GraphSample {
-    let mut frontier: Vec<NodeId> = seeds.to_vec();
-    let mut layers = Vec::with_capacity(fanout.len());
+    let cfg = CspConfig::node_wise(fanout.to_vec()).with_seed(seed);
+    let mut layers: Vec<SampleLayer> = Vec::with_capacity(fanout.len());
     for (l, &fan) in fanout.iter().enumerate() {
-        let mut offsets = vec![0u32];
-        let mut neighbors = Vec::new();
-        for &v in &frontier {
-            let mut rng = request_rng(seed, batch, l, v);
-            let nb = graph.neighbors(v);
-            if !nb.is_empty() {
-                neighbors.extend(sample_uniform(nb, fan, &mut rng));
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        let layer = SampleLayer::new(frontier.clone(), offsets, neighbors);
-        frontier = layer.src.clone();
-        layers.push(layer);
+        let dst = next_dst(seeds, &layers);
+        let requests = dst.iter().map(|&v| (v, fan as u32));
+        let (offsets, neighbors) = sample_frontier(graph, &cfg, batch, l, requests);
+        layers.push(SampleLayer::new(dst, offsets, neighbors));
     }
     GraphSample::new(seeds.to_vec(), layers)
 }
 
-/// Samples `k` neighbors uniformly **without replacement**; returns the
-/// whole list if it has ≤ `k` entries (DGL `replace=false` semantics).
-/// Partial Fisher–Yates over an index array, O(k) extra space.
-pub fn sample_uniform(neighbors: &[NodeId], k: usize, rng: &mut Rng) -> Vec<NodeId> {
-    let n = neighbors.len();
-    if n <= k {
-        return neighbors.to_vec();
+/// The one per-frontier draw loop: draws every `(node, count)` request
+/// in order into one flat buffer. Returns `(offsets, neighbors)` with
+/// `offsets[i]..offsets[i + 1]` delimiting request `i`'s draw.
+pub fn sample_frontier<G: Adjacency>(
+    graph: &G,
+    cfg: &CspConfig,
+    batch: u64,
+    layer: usize,
+    requests: impl ExactSizeIterator<Item = (NodeId, u32)> + Clone,
+) -> (Vec<u32>, Vec<NodeId>) {
+    let mut offsets = Vec::with_capacity(requests.len() + 1);
+    offsets.push(0u32);
+    let requested: usize = requests.clone().map(|(_, c)| c as usize).sum();
+    let mut neighbors = Vec::with_capacity(requested);
+    for (node, count) in requests {
+        draw_neighbors_into(graph, cfg, batch, layer, node, count, &mut neighbors);
+        offsets.push(neighbors.len() as u32);
     }
-    // Partial Fisher–Yates via a sparse swap map: only touched indices
-    // are stored, so sampling 10 of 10,000 neighbors is O(k).
-    let mut swaps: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        let vi = *swaps.get(&i).unwrap_or(&i);
-        let vj = *swaps.get(&j).unwrap_or(&j);
-        out.push(neighbors[vj]);
-        swaps.insert(j, vi);
-    }
-    out
+    (offsets, neighbors)
 }
 
-/// Samples `k` neighbors **with replacement**, uniformly.
-pub fn sample_uniform_with_replacement(
+/// One node's neighbor draw for `layer` of `batch`, appended to `out` —
+/// the pure core of CSP's sample stage (no spill accounting, no virtual
+/// time). The same result regardless of which rank (or shadow pass)
+/// executes it.
+pub fn draw_neighbors_into<G: Adjacency>(
+    graph: &G,
+    cfg: &CspConfig,
+    batch: u64,
+    layer: usize,
+    node: NodeId,
+    count: u32,
+    out: &mut Vec<NodeId>,
+) {
+    let (nb, ws) = graph.adjacency(node);
+    let k = count as usize;
+    if k == 0 || nb.is_empty() {
+        return;
+    }
+    let replace = matches!(cfg.scheme, Scheme::LayerWise { replace: true });
+    let mut rng = request_rng(cfg.seed, batch, layer, node);
+    if let Some(cutoff) = cfg.temporal_cutoff {
+        // Temporal predicate pushed with the task: restrict to edges no
+        // newer than the cutoff. The eligible ids are filtered straight
+        // into `out`'s tail and the draw happens on that tail in place.
+        let ts = ws.expect("temporal sampling needs edge timestamps");
+        let start = out.len();
+        out.extend(
+            nb.iter()
+                .zip(ts)
+                .filter(|&(_, &t)| t <= cutoff)
+                .map(|(&u, _)| u),
+        );
+        let n = out.len() - start;
+        if replace && n > 0 {
+            for _ in 0..k {
+                out.push(out[start + rng.gen_range(0..n)]);
+            }
+            out.drain(start..start + n);
+        } else if !replace && n > k {
+            // The tail is ours to permute: plain partial Fisher–Yates,
+            // same draws and same picks as `sample_positions`.
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                out.swap(start + i, start + j);
+            }
+            out.truncate(start + k);
+        }
+    } else if cfg.biased {
+        let ws = ws.expect("biased sampling on an unweighted graph");
+        sample_weighted_into(nb.iter().copied().zip(ws.iter().copied()), k, &mut rng, out);
+    } else if replace {
+        sample_uniform_with_replacement_into(nb, k, &mut rng, out);
+    } else {
+        sample_uniform_into(nb, k, &mut rng, out);
+    }
+}
+
+/// Swap-table entries [`sample_positions`] keeps on the stack. The
+/// paper's fan-outs are 15/10/5; only layer-wise multinomial counts on
+/// high-degree nodes go past this.
+const INLINE_SWAPS: usize = 32;
+
+/// Draws `k` distinct positions of `0..n` uniformly (all of them, in
+/// order, if `n <= k`) and passes each to `emit`. Partial Fisher–Yates
+/// consuming exactly `gen_range(i..n)` for `i in 0..k` — that order is
+/// what every pinned sample hash rests on. Up to [`INLINE_SWAPS`] draws
+/// keep the sparse swap table in a stack array scanned linearly (no
+/// hashing, no allocation, O(k²) compares on ≤ 32 entries); more draws
+/// shuffle a dense index array instead, O(n) for that one node.
+pub fn sample_positions(n: usize, k: usize, rng: &mut Rng, mut emit: impl FnMut(usize)) {
+    if n <= k {
+        (0..n).for_each(emit);
+    } else if k <= INLINE_SWAPS {
+        // (position, value now stored there); latest entry wins.
+        let mut swaps = [(0usize, 0usize); INLINE_SWAPS];
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            let at = |x: usize| {
+                let moved = swaps[..i].iter().rev().find(|s| s.0 == x);
+                moved.map_or(x, |s| s.1)
+            };
+            emit(at(j));
+            swaps[i] = (j, at(i));
+        }
+    } else {
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            emit(idx[j] as usize);
+            idx[j] = idx[i];
+        }
+    }
+}
+
+/// Samples `k` neighbors uniformly **without replacement** into `out`;
+/// the whole list if it has ≤ `k` entries (DGL `replace=false`
+/// semantics). See [`sample_positions`] for the draw order.
+pub fn sample_uniform_into(neighbors: &[NodeId], k: usize, rng: &mut Rng, out: &mut Vec<NodeId>) {
+    sample_positions(neighbors.len(), k, rng, |p| out.push(neighbors[p]));
+}
+
+/// Samples `k` neighbors **with replacement**, uniformly, into `out`.
+pub fn sample_uniform_with_replacement_into(
     neighbors: &[NodeId],
     k: usize,
     rng: &mut Rng,
-) -> Vec<NodeId> {
-    if neighbors.is_empty() {
-        return Vec::new();
+    out: &mut Vec<NodeId>,
+) {
+    if !neighbors.is_empty() {
+        out.extend((0..k).map(|_| neighbors[rng.gen_range(0..neighbors.len())]));
     }
-    (0..k)
-        .map(|_| neighbors[rng.gen_range(0..neighbors.len())])
-        .collect()
 }
 
 /// Weighted sampling without replacement via the Efraimidis–Spirakis
 /// exponential-key trick: key_i = rand()^(1/w_i); take the k largest.
 /// Zero-weight neighbors are never sampled (unless everything is zero).
-pub fn sample_weighted(
-    neighbors: &[NodeId],
-    weights: &[f32],
+/// Takes `(neighbor, weight)` pairs so pulled pair lists and split
+/// id/weight arrays feed it alike; appends the picks to `out`.
+pub fn sample_weighted_into(
+    pairs: impl ExactSizeIterator<Item = (NodeId, f32)>,
     k: usize,
     rng: &mut Rng,
-) -> Vec<NodeId> {
-    assert_eq!(neighbors.len(), weights.len());
-    let n = neighbors.len();
-    if n <= k {
-        return neighbors.to_vec();
+    out: &mut Vec<NodeId>,
+) {
+    if pairs.len() <= k {
+        out.extend(pairs.map(|(v, _)| v));
+        return;
     }
-    let mut keyed: Vec<(f64, NodeId)> = neighbors
-        .iter()
-        .zip(weights)
-        .map(|(&v, &w)| {
+    let mut keyed: Vec<(f64, NodeId)> = pairs
+        .map(|(v, w)| {
             let key = if w > 0.0 {
                 // u^(1/w) maximized ⇔ ln(u)/w maximized (u in (0,1)).
                 rng.gen_range(1e-12..1.0f64).ln() / w as f64
@@ -119,8 +228,7 @@ pub fn sample_weighted(
         })
         .collect();
     keyed.select_nth_unstable_by(k - 1, |a, b| b.0.partial_cmp(&a.0).unwrap());
-    keyed.truncate(k);
-    keyed.into_iter().map(|(_, v)| v).collect()
+    out.extend(keyed[..k].iter().map(|&(_, v)| v));
 }
 
 /// Multinomial draw: `n` draws over `probs ∝ weights` with replacement;
@@ -150,9 +258,117 @@ pub fn multinomial_counts(weights: &[f64], n: usize, rng: &mut Rng) -> Vec<u32> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds_testkit::{prop_assert_eq, props};
+    use std::collections::HashMap;
 
     fn rng() -> Rng {
         Rng::seed_from_u64(42)
+    }
+
+    fn sample_uniform(neighbors: &[NodeId], k: usize, rng: &mut Rng) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        sample_uniform_into(neighbors, k, rng, &mut out);
+        out
+    }
+
+    fn sample_weighted(nb: &[NodeId], ws: &[f32], k: usize, rng: &mut Rng) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        sample_weighted_into(nb.iter().copied().zip(ws.iter().copied()), k, rng, &mut out);
+        out
+    }
+
+    /// The kernel every pinned hash was captured from: partial
+    /// Fisher–Yates over a `HashMap` sparse swap table. Test-only oracle
+    /// for [`sample_uniform_into`].
+    fn sample_uniform_reference(neighbors: &[NodeId], k: usize, rng: &mut Rng) -> Vec<NodeId> {
+        let n = neighbors.len();
+        if n <= k {
+            return neighbors.to_vec();
+        }
+        let mut swaps: HashMap<usize, usize> = HashMap::new();
+        let mut out = Vec::with_capacity(k);
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            let vi = *swaps.get(&i).unwrap_or(&i);
+            let vj = *swaps.get(&j).unwrap_or(&j);
+            out.push(neighbors[vj]);
+            swaps.insert(j, vi);
+        }
+        out
+    }
+
+    props! {
+        #![cases(256)]
+
+        #[test]
+        fn draw_kernel_matches_the_hashmap_reference(
+            n in 0usize..2000,
+            k in 0usize..200,
+            prefix in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Distinct ids that are not their own position.
+            let nb: Vec<NodeId> = (0..n as NodeId).map(|i| i * 3 + 7).collect();
+            let mut r_new = Rng::seed_from_u64(seed);
+            let mut r_ref = r_new.clone();
+            let mut out: Vec<NodeId> = vec![u32::MAX; prefix];
+            sample_uniform_into(&nb, k, &mut r_new, &mut out);
+            let want = sample_uniform_reference(&nb, k, &mut r_ref);
+            prop_assert_eq!(&out[..prefix], &vec![u32::MAX; prefix][..], "prefix disturbed");
+            prop_assert_eq!(&out[prefix..], &want[..]);
+            prop_assert_eq!(r_new, r_ref, "RNG left in a different state");
+        }
+    }
+
+    #[test]
+    fn draw_kernel_matches_the_reference_around_the_inline_boundary() {
+        for k in [0, 1, INLINE_SWAPS - 1, INLINE_SWAPS, INLINE_SWAPS + 1, 199] {
+            for n in [0, 1, k.saturating_sub(1), k, k + 1, 2 * k + 3, 1999] {
+                let nb: Vec<NodeId> = (0..n as NodeId).rev().collect();
+                let (mut r_new, mut r_ref) = (rng(), rng());
+                let got = sample_uniform(&nb, k, &mut r_new);
+                assert_eq!(
+                    got,
+                    sample_uniform_reference(&nb, k, &mut r_ref),
+                    "n={n} k={k}"
+                );
+                assert_eq!(r_new, r_ref, "n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn temporal_draw_in_place_matches_drawing_from_the_filtered_list() {
+        // Weights double as timestamps; the cutoff keeps every other
+        // neighbor. Drawing on `out`'s tail in place must equal drawing
+        // from the materialised eligible list, prefix untouched.
+        let n = 60u32;
+        // Node 0 holds all the edges; the other nodes exist only so
+        // the neighbor ids 100.. are in range.
+        let mut indptr = vec![n as u64; 101 + n as usize];
+        indptr[0] = 0;
+        let ts: Vec<f32> = (0..n).map(|i| (i % 2) as f32).collect();
+        let g = Csr::from_raw(indptr, (100..100 + n).collect(), Some(ts));
+        let eligible: Vec<NodeId> = (100..100 + n).step_by(2).collect();
+        for (scheme, count) in [
+            (Scheme::NodeWise, 7),
+            (Scheme::NodeWise, 45),
+            (Scheme::LayerWise { replace: false }, 29),
+            (Scheme::LayerWise { replace: true }, 50),
+        ] {
+            let mut cfg = CspConfig::node_wise(vec![count]).temporal(0.5);
+            cfg.scheme = scheme;
+            let mut out = vec![1, 2, 3];
+            draw_neighbors_into(&g, &cfg, 4, 1, 0, count as u32, &mut out);
+            let mut r = request_rng(cfg.seed, 4, 1, 0);
+            let mut want = vec![1, 2, 3];
+            if scheme == (Scheme::LayerWise { replace: true }) {
+                sample_uniform_with_replacement_into(&eligible, count, &mut r, &mut want);
+            } else {
+                want.extend(sample_uniform_reference(&eligible, count, &mut r));
+            }
+            assert_eq!(out, want, "{scheme:?} count={count}");
+        }
     }
 
     #[test]
@@ -197,9 +413,11 @@ mod tests {
     #[test]
     fn with_replacement_allows_duplicates() {
         let nb = vec![1, 2];
-        let s = sample_uniform_with_replacement(&nb, 100, &mut rng());
+        let mut s = Vec::new();
+        sample_uniform_with_replacement_into(&nb, 100, &mut rng(), &mut s);
         assert_eq!(s.len(), 100);
-        assert!(sample_uniform_with_replacement(&[], 5, &mut rng()).is_empty());
+        sample_uniform_with_replacement_into(&[], 5, &mut rng(), &mut s);
+        assert_eq!(s.len(), 100, "empty list draws nothing");
     }
 
     #[test]

@@ -13,61 +13,19 @@
 //!   node will be requested in the coming epoch and ranks the cache by
 //!   those counts instead of the static degree guess.
 //!
-//! [`draw_neighbors`] is the single source of truth for one node's
-//! draw: the real sampler's `sample_node` delegates to it, so a shadow
-//! replay is bit-identical to the collective execution by construction,
-//! not by parallel maintenance of two copies.
+//! [`draw_neighbors_into`] is the single source of truth for one
+//! node's draw: the real sampler's sample stage runs the same function,
+//! so a shadow replay is bit-identical to the collective execution by
+//! construction, not by parallel maintenance of two copies. The replay
+//! keeps only what its consumers read — the chained frontier and the
+//! edge count — and never builds a `SampleLayer`: position maps index
+//! rows for the trainer, and nothing downstream of a replay trains.
 
 use crate::csp::{CspConfig, Scheme};
 use crate::dist_graph::DistGraph;
-use crate::local::{self, request_rng};
-use crate::sample::SampleLayer;
+use crate::local::{self, draw_neighbors_into, request_rng};
+use crate::sample::sort_dedup;
 use ds_graph::NodeId;
-
-/// One node's neighbor draw for `layer` of `batch` — the pure core of
-/// CSP's sample stage (no spill accounting, no virtual time). The same
-/// result regardless of which rank (or shadow pass) executes it.
-pub fn draw_neighbors(
-    graph: &DistGraph,
-    cfg: &CspConfig,
-    batch: u64,
-    layer: usize,
-    node: NodeId,
-    count: u32,
-) -> Vec<NodeId> {
-    let without_replacement = !matches!(cfg.scheme, Scheme::LayerWise { replace: true });
-    let mut rng = request_rng(cfg.seed, batch, layer, node);
-    let nb = graph.neighbors(node);
-    // Temporal predicate pushed with the task: restrict to edges no
-    // newer than the cutoff.
-    let filtered: Vec<NodeId>;
-    let nb = if let Some(cutoff) = cfg.temporal_cutoff {
-        let ts = graph
-            .neighbor_weights(node)
-            .expect("temporal sampling needs edge timestamps");
-        filtered = nb
-            .iter()
-            .zip(ts)
-            .filter(|&(_, &t)| t <= cutoff)
-            .map(|(&u, _)| u)
-            .collect();
-        &filtered[..]
-    } else {
-        nb
-    };
-    if count == 0 || nb.is_empty() {
-        Vec::new()
-    } else if cfg.biased {
-        let ws = graph
-            .neighbor_weights(node)
-            .expect("biased sampling on an unweighted graph");
-        local::sample_weighted(nb, ws, count as usize, &mut rng)
-    } else if without_replacement {
-        local::sample_uniform(nb, count as usize, &mut rng)
-    } else {
-        local::sample_uniform_with_replacement(nb, count as usize, &mut rng)
-    }
-}
 
 /// What a shadow replay of one batch learned: the nodes whose input
 /// features the real batch will load, and the sampled-edge volume (for
@@ -105,16 +63,15 @@ pub fn shadow_batch(
                 local::multinomial_counts(&weights, fan, &mut rng)
             }
         };
-        let mut offsets = Vec::with_capacity(frontier.len() + 1);
-        offsets.push(0u32);
-        let mut neighbors = Vec::new();
-        for (i, &node) in frontier.iter().enumerate() {
-            neighbors.extend(draw_neighbors(graph, cfg, batch, l, node, counts[i]));
-            offsets.push(neighbors.len() as u32);
+        // The next frontier is the sorted union of this one and its
+        // draws (`SampleLayer::src`): draw straight onto its tail.
+        let n = frontier.len();
+        for i in 0..n {
+            let node = frontier[i];
+            draw_neighbors_into(graph, cfg, batch, l, node, counts[i], &mut frontier);
         }
-        sampled_edges += neighbors.len() as u64;
-        let layer = SampleLayer::new(frontier, offsets, neighbors);
-        frontier = layer.src;
+        sampled_edges += (frontier.len() - n) as u64;
+        sort_dedup(&mut frontier);
     }
     ShadowBatch {
         input_nodes: frontier,

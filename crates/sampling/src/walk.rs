@@ -8,7 +8,7 @@
 //! back to their origin rank.
 
 use crate::dist_graph::DistGraph;
-use crate::local::{self, request_rng};
+use crate::local::request_rng;
 use ds_comm::Communicator;
 use ds_graph::NodeId;
 use ds_simgpu::{Clock, Cluster};
@@ -130,7 +130,7 @@ impl RandomWalker {
                 let stop = nb.is_empty()
                     || (self.cfg.stop_prob > 0.0 && rng.gen::<f64>() < self.cfg.stop_prob);
                 if !stop {
-                    let next = local::sample_uniform_with_replacement(nb, 1, &mut rng)[0];
+                    let next = nb[rng.gen_range(0..nb.len())];
                     item.path.push(next);
                 }
                 // A walk completes when it stops or reaches full length;

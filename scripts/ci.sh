@@ -54,6 +54,20 @@ if [ "${1:-}" = "split" ]; then
     exit 0
 fi
 
+# Benchmark smoke stage: the two-clock benchmark's own output checks
+# (quarter-size graphs, one measured epoch, every workload timed and
+# traced) — exits non-zero unless every run reports `"correct": true`.
+# This stage only calls the harness; what it measures and gates lives in
+# benchmark/README.md. Invocable alone as `scripts/ci.sh bench_smoke`.
+bench_smoke_stage() {
+    benchmark/run.sh --smoke
+}
+
+if [ "${1:-}" = "bench_smoke" ]; then
+    bench_smoke_stage
+    exit 0
+fi
+
 cargo fmt --check
 scripts/lint_locks.sh
 scripts/lint_threads.sh
@@ -146,3 +160,6 @@ serve_stage
 # head-to-head + epoch-time/crossover gate + exchange-protocol models
 # (see split_stage above).
 split_stage
+
+# Benchmark harness smoke run (see bench_smoke_stage above).
+bench_smoke_stage

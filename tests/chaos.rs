@@ -495,9 +495,16 @@ fn split_peer_crash_mid_exchange_terminates_within_deadline() {
         }
         (format!("{err}"), sys.last_fault_report())
     };
-    let (err_a, report_a) = run();
-    let (err_b, report_b) = run();
+    let (err_a, mut report_a) = run();
+    let (err_b, mut report_b) = run();
     assert_eq!(err_a, err_b, "same-seed crash outcomes diverged");
+    // Retries are not part of the outcome here. The epoch is lost at
+    // the crash; which collectives the surviving workers were parked in
+    // at that instant — and therefore time out and retry before the
+    // teardown reaches them — depends on how far their queues let them
+    // run ahead in wall time, not on the seed.
+    report_a.retried.clear();
+    report_b.retried.clear();
     assert_eq!(report_a, report_b);
     assert_eq!(report_a.crashed, vec![(1, WorkerKind::Loader, 1)]);
 }
