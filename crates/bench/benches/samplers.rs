@@ -85,15 +85,17 @@ fn bench_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling_hot_path");
 
     // One node's draw at the paper's first-layer fan-out, below, near
-    // and far above the degree where sampling starts.
-    for deg in [8u32, 64, 4096] {
+    // and far above the degree where sampling starts; then past the
+    // inline swap table (a layer-wise count on a hub), where
+    // `sample_positions` spills it to the heap.
+    for (k, deg) in [(15, 8u32), (15, 64), (15, 4096), (64, 4096), (64, 65536)] {
         let nb: Vec<u32> = (0..deg).collect();
         let mut rng = ds_rng::Rng::seed_from_u64(7);
-        let mut out = Vec::with_capacity(16);
-        group.bench_function(format!("draw_uniform_15_of_deg{deg}"), |b| {
+        let mut out = Vec::with_capacity(k);
+        group.bench_function(format!("draw_uniform_{k}_of_deg{deg}"), |b| {
             b.iter(|| {
                 out.clear();
-                sample_uniform_into(&nb, 15, &mut rng, &mut out);
+                sample_uniform_into(&nb, k, &mut rng, &mut out);
                 out.len()
             })
         });
@@ -118,6 +120,18 @@ fn bench_hot_path(c: &mut Criterion) {
                     inner.neighbors.clone(),
                 )
             },
+            |(dst, offsets, neighbors)| SampleLayer::new(dst, offsets, neighbors),
+            BatchSize::SmallInput,
+        );
+    });
+
+    // The other side of block assembly: ids too sparse for the bitmap
+    // (one serve request's first block on a large graph) sort instead.
+    let sparse_dst = vec![20_011u32];
+    let sparse_nb: Vec<u32> = (0..15u32).map(|i| i * 2_003 + 5).collect();
+    group.bench_function("layer_assemble_sparse_16_ids", |b| {
+        b.iter_batched(
+            || (sparse_dst.clone(), vec![0, 15], sparse_nb.clone()),
             |(dst, offsets, neighbors)| SampleLayer::new(dst, offsets, neighbors),
             BatchSize::SmallInput,
         );

@@ -37,8 +37,9 @@ use ds_sampling::{BatchSampler, GraphSample};
 use ds_simgpu::{Clock, Cluster, WorkerKind};
 use ds_tensor::matrix::Matrix;
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Worker-group ids (peer workers share these across ranks).
 const SAMPLER_WORKER: u32 = 1;
@@ -85,6 +86,80 @@ struct CkptCfg {
     num_ranks: usize,
 }
 
+/// What the worker threads of one epoch run share besides the
+/// long-lived communicators. Built fresh per run, so nothing here can
+/// go stale across epochs or a re-run of the same epoch.
+#[derive(Default)]
+struct EpochShared {
+    /// Set (before anything a peer can observe) once a worker leaves
+    /// its schedule early: the epoch can only end in an error, and
+    /// every failure seen from here on is teardown, not a fault to
+    /// retry, degrade around or report.
+    doomed: AtomicBool,
+    /// Per sampler rejoin boundary (batch): how many sampler threads
+    /// stand at it, and whether the last of them has healed the group.
+    rejoins: Mutex<HashMap<u64, (usize, bool)>>,
+    rejoin_cv: Condvar,
+}
+
+impl EpochShared {
+    fn doomed(&self) -> bool {
+        self.doomed.load(Ordering::SeqCst)
+    }
+
+    /// Dooms the epoch and wakes whoever is parked at a rejoin
+    /// boundary (the lock round-trip closes the check-then-park race).
+    fn doom(&self) {
+        self.doomed.store(true, Ordering::SeqCst);
+        drop(lock_unpoisoned(&self.rejoins));
+        self.rejoin_cv.notify_all();
+    }
+
+    /// The rejoin boundary at `batch`, entered once by each of `n`
+    /// sampler threads: the last to arrive runs `heal`, the others
+    /// park until it has finished. Returns whether the caller leaves
+    /// with the group healed; false when it gave up — `timeout` of
+    /// wall time passed (a peer never arrived) or the epoch is doomed.
+    fn rejoin_boundary(
+        &self,
+        batch: u64,
+        n: usize,
+        timeout: Duration,
+        heal: impl FnOnce(),
+    ) -> bool {
+        let mut at = lock_unpoisoned(&self.rejoins);
+        let entry = at.entry(batch).or_insert((0, false));
+        entry.0 += 1;
+        if entry.0 == n {
+            // Everyone else is parked below: heal without the lock.
+            drop(at);
+            heal();
+            lock_unpoisoned(&self.rejoins).entry(batch).or_default().1 = true;
+            self.rejoin_cv.notify_all();
+            return true;
+        }
+        let deadline = Instant::now() + timeout;
+        loop {
+            if at.get(&batch).is_some_and(|e| e.1) {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.doomed() {
+                return false;
+            }
+            at = self
+                .rejoin_cv
+                .wait_timeout(at, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
+fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Everything a supervised worker loop needs besides its own pipeline
 /// stage: fault hooks, the communicators (for declaring deaths), the
 /// CCC coordinator (for unwedging launch queues) and the supervisor.
@@ -104,8 +179,34 @@ struct RankCtx {
     exchange_comm: Option<Arc<Communicator>>,
     ccc: Option<Arc<Coordinator>>,
     sup: Arc<Supervisor>,
+    shared: Arc<EpochShared>,
     /// `Some` when checkpointing is on (`ckpt_every > 0`).
     ckpt: Option<CkptCfg>,
+}
+
+/// A worker's seat in its collective group for one epoch. Dropped
+/// before [`Seat::done`] — an error return, a closed queue, a panic —
+/// the worker is leaving its schedule early and [`RankCtx::leave`]
+/// gives the seat up, so no peer waits for a round it will never join.
+struct Seat<'a> {
+    ctx: &'a RankCtx,
+    worker: WorkerKind,
+    done: bool,
+}
+
+impl Seat<'_> {
+    /// The worker ran its whole schedule.
+    fn done(&mut self) {
+        self.done = true;
+    }
+}
+
+impl Drop for Seat<'_> {
+    fn drop(&mut self) {
+        if !self.done {
+            self.ctx.leave(self.worker);
+        }
+    }
 }
 
 impl RankCtx {
@@ -168,21 +269,32 @@ impl RankCtx {
             .is_some_and(|h| (0..=batch).any(|r| h.worker_recovers(peer, WorkerKind::Sampler, r)))
     }
 
-    /// Declares `worker` on this rank dead: peers blocked on it wake
-    /// with `PeerFailed`, and its queued CCC launch entries are skipped
-    /// so the rest of this rank's pipeline is not wedged behind the
-    /// corpse.
+    /// Declares `worker` on this rank dead. Only a sampler has a
+    /// replacement (degraded local sampling); a dead loader or trainer
+    /// dooms the epoch.
     fn declare_dead(&self, worker: WorkerKind, batch: u64) {
         self.sup.record_crash(self.rank, worker, batch);
+        if worker != WorkerKind::Sampler {
+            self.shared.doom();
+        }
+        self.vacate(worker);
+    }
+
+    /// Takes `worker` on this rank out of its collective group: peers
+    /// blocked on it wake with `PeerFailed`, and its queued CCC launch
+    /// entries are skipped so the rest of this rank's pipeline is not
+    /// wedged behind entries nobody will launch.
+    fn vacate(&self, worker: WorkerKind) {
         let comm = self.comm_for(worker);
         comm.mark_failed(self.rank);
         if let Some(ccc) = &self.ccc {
             ccc.skip_worker(self.rank, comm.id());
         }
-        // The partial-aggregate exchange rides the loader stage: a dead
-        // loader also leaves the exchange group, so peers parked in an
-        // exchange rendezvous wake with `PeerFailed` instead of timing
-        // out, and this rank's queued exchange launches are skipped.
+        // The partial-aggregate exchange rides the loader stage: a
+        // loader that is gone also leaves the exchange group, so peers
+        // parked in an exchange rendezvous wake with `PeerFailed`
+        // instead of timing out, and this rank's queued exchange
+        // launches are skipped.
         if worker == WorkerKind::Loader {
             if let Some(ex) = &self.exchange_comm {
                 ex.mark_failed(self.rank);
@@ -191,6 +303,31 @@ impl RankCtx {
                 }
             }
         }
+    }
+
+    /// A seat for `worker`, given up on drop unless the worker ran its
+    /// whole schedule.
+    fn seat(&self, worker: WorkerKind) -> Seat<'_> {
+        Seat {
+            ctx: self,
+            worker,
+            done: false,
+        }
+    }
+
+    /// `worker` stops before the end of its schedule — it failed, or
+    /// the stage it feeds or drains did. Nothing crashed here, so
+    /// nothing is recorded; but its peers must not sit out comm
+    /// deadlines waiting for it. The doom flag goes up first: whoever
+    /// wakes on the vacated seat already reads it.
+    fn leave(&self, worker: WorkerKind) {
+        self.shared.doom();
+        self.vacate(worker);
+    }
+
+    /// Whether the epoch is past saving (see [`EpochShared::doomed`]).
+    fn doomed(&self) -> bool {
+        self.shared.doomed()
     }
 
     /// Switches this rank's sampler to degraded local (pull-path)
@@ -218,64 +355,75 @@ impl RankCtx {
         clock.wait_until(t);
     }
 
-    /// Rejoins `peer`'s sampler into the collective group at the
-    /// `batch` boundary and returns this rank's own pipeline to the
-    /// non-degraded path. Safe here because no sampler collectives run
-    /// while the group is degraded, so the rejoin lands between rounds;
-    /// every rank evaluates the same pure recovery predicate at the
-    /// same batch, so all peers re-enter collective sampling together.
-    fn rejoin_sampler(&self, sampler: &mut CspSampler, peer: usize, batch: u64) {
-        // Fenced rejoin: observe the membership generation, retry on
-        // staleness. Concurrent healers race on the bump; the loser
-        // re-observes and then sees the peer already restored.
-        let mut observed = self.sampler_comm.membership_generation();
-        while let Err(e) = self.sampler_comm.try_rejoin(peer, observed) {
-            debug_assert!(e.is_stale_generation(), "unexpected rejoin error: {e}");
-            observed = self.sampler_comm.membership_generation();
-        }
+    /// Restores the `due` samplers to the collective group. Runs on
+    /// one thread while every other sampler is parked at the same
+    /// boundary, so it lands between rounds by construction.
+    fn heal_sampler_group(&self, due: &[usize]) {
         if let Some(ccc) = &self.ccc {
-            // Readmit every live rank's sampler, not just our own. The
-            // first rank to reach the rejoin batch sweeps for the whole
-            // group: the leader's next sampler launch pushes the shared
-            // round entry, and a peer whose own readmit had not landed
-            // yet would auto-drain that entry — then wait a full comm
-            // deadline for a turn the leader already spent (the leader,
-            // parked in the rendezvous, pushes no more).
+            // Readmit every rank that will launch sampler kernels
+            // again, and do it before the group heals: a peer released
+            // by the rejoin below launches at once, and a rank whose
+            // sampler were still on the skip list would auto-drain the
+            // round entry the leader pushes, then wait a comm deadline
+            // for a turn already spent.
             let failed = self.sampler_comm.failed_ranks();
             for r in 0..self.sampler_comm.num_ranks() {
-                if !failed.contains(&r) {
+                if due.contains(&r) || !failed.contains(&r) {
                     ccc.readmit_worker(r, self.sampler_comm.id());
                 }
             }
         }
-        if sampler.is_degraded() {
-            sampler.set_degraded(false);
+        for &peer in due {
+            // Fenced rejoin: observe the membership generation, retry
+            // on staleness (a rank leaving meanwhile bumps it).
+            let mut observed = self.sampler_comm.membership_generation();
+            while let Err(e) = self.sampler_comm.try_rejoin(peer, observed) {
+                debug_assert!(e.is_stale_generation(), "unexpected rejoin error: {e}");
+                observed = self.sampler_comm.membership_generation();
+            }
         }
-        self.sup.record_recovery(peer, WorkerKind::Sampler, batch);
     }
 
-    /// Scans the fault plan for sampler rejoins scheduled at `batch`
-    /// and performs them. Returns true when one fired (the caller
-    /// re-arms its crash edge detector for flapping-peer plans).
+    /// Performs the sampler rejoins the fault plan schedules at
+    /// `batch` and returns this rank's own pipeline to the collective
+    /// path. Returns true when one fired (the caller re-arms its crash
+    /// edge detector for flapping-peer plans).
+    ///
+    /// Every rank evaluates the same pure predicate at the same batch,
+    /// but not at the same wall time: samplers run ahead of their
+    /// loaders by the queue depth and a degraded batch costs
+    /// microseconds, so the first rank here may find a peer that has
+    /// not yet left the last round before the crash, let alone skipped
+    /// its CCC entries for the window. Readmitting then inverts that
+    /// peer's skip and its readmission and strands its launch cursor.
+    /// So the *last* sampler to reach the boundary heals the group and
+    /// the others park until it has ([`EpochShared::rejoin_boundary`]
+    /// — on the arrival count, not on the group's health: the first
+    /// rank here may be ahead of the crash itself): past this call
+    /// every rank has left its last round and issued its skip, and no
+    /// sampler collective is in flight. The wait is wall-clock only
+    /// (no virtual time), ends early when the epoch is doomed, and is
+    /// bounded by the comm deadline — a rank that gives up goes on
+    /// unhealed and meets the failure, typed, in its next round.
     fn sampler_recoveries(&self, sampler: &mut CspSampler, clock: &Clock, batch: u64) -> bool {
         let Some(h) = self.cluster.fault_hook() else {
             return false;
         };
         let n = self.sampler_comm.num_ranks();
-        let due = |peer: usize| h.worker_recovers(peer, WorkerKind::Sampler, batch);
-        if !(0..n).any(due) {
+        let due: Vec<usize> = (0..n)
+            .filter(|&peer| h.worker_recovers(peer, WorkerKind::Sampler, batch))
+            .collect();
+        if due.is_empty() {
             return false;
         }
-        // Every rank evaluates this predicate at the same batch but not
-        // at the same wall time. Meet first: once all samplers stand at
-        // this boundary, every one has left its last round and skipped
-        // its CCC entries for the window, so the readmission below
-        // cannot overtake a slower rank's skip.
-        self.sup
-            .rendezvous((self.epoch, batch), n, self.sampler_comm.config().deadline);
-        for peer in (0..n).filter(|&p| due(p)) {
+        self.shared
+            .rejoin_boundary(batch, n, self.sampler_comm.config().deadline, || {
+                self.heal_sampler_group(&due)
+            });
+        sampler.set_degraded(false);
+        for &peer in &due {
             ds_trace::instant(clock.now(), "rejoin", batch);
-            self.rejoin_sampler(sampler, peer, batch);
+            self.sup.record_recovery(peer, WorkerKind::Sampler, batch);
         }
         true
     }
@@ -357,6 +505,8 @@ fn supervised_sample(
     loop {
         match sampler.try_sample_batch(clock, seeds) {
             Ok(sample) => return Ok(sample),
+            // A doomed epoch has nothing left to retry or degrade for.
+            Err(e) if ctx.doomed() => return Err(DspError::Comm(e)),
             Err(e) => {
                 // A peer the plan restores by this batch is mid-rejoin,
                 // not dead: this rank already stepped past the degraded
@@ -414,7 +564,7 @@ fn supervised_load(
     loop {
         match loader.try_load_windowed(clock, nodes, window, batch) {
             Ok(feats) => return Ok(feats),
-            Err(e @ CommError::Timeout(_)) => {
+            Err(e @ CommError::Timeout(_)) if !ctx.doomed() => {
                 attempts += 1;
                 if attempts > ctx.sup.policy.max_retries {
                     return Err(DspError::RetriesExhausted {
@@ -452,7 +602,7 @@ fn supervised_exchange(
     loop {
         match exchange.try_exchange(clock, block, dst_feats) {
             Ok(agg) => return Ok(agg),
-            Err(e @ CommError::Timeout(_)) => {
+            Err(e @ CommError::Timeout(_)) if !ctx.doomed() => {
                 attempts += 1;
                 if attempts > ctx.sup.policy.max_retries {
                     return Err(DspError::RetriesExhausted {
@@ -502,7 +652,7 @@ fn supervised_train(
         };
         match r {
             Ok(result) => return Ok(result),
-            Err(e @ CommError::Timeout(_)) => {
+            Err(e @ CommError::Timeout(_)) if !ctx.doomed() => {
                 attempts += 1;
                 if attempts > ctx.sup.policy.max_retries {
                     return Err(DspError::RetriesExhausted {
@@ -558,6 +708,7 @@ fn run_rank_pipelined(
     // keys its shadow replay on it, and the loader uses it to check
     // that a staged window really is for the batch in hand.
     let base = sampler.next_batch_index();
+    let total = batches.len() as u64;
     let run_pf = prefetcher.is_some() && pf_window > 0;
     // The prefetcher replays the same seed schedule the sampler
     // consumes, a bounded `pf_window` batches ahead.
@@ -599,6 +750,7 @@ fn run_rank_pipelined(
             move || -> Result<Clock, DspError> {
                 let _trace = ds_trace::worker(rank, ds_trace::TID_SAMPLER);
                 let mut clock = Clock::new();
+                let mut seat = ctx.seat(WorkerKind::Sampler);
                 ds_trace::span_begin(clock.now(), "sampler");
                 let mut crashed = false;
                 let mut batch = 0usize;
@@ -640,6 +792,9 @@ fn run_rank_pipelined(
                     }
                     batch += 1;
                 }
+                if batch == batches.len() {
+                    seat.done();
+                }
                 ds_trace::span_end(clock.now());
                 Ok(clock)
             },
@@ -650,6 +805,7 @@ fn run_rank_pipelined(
             move || -> Result<Clock, DspError> {
                 let _trace = ds_trace::worker(rank, ds_trace::TID_LOADER);
                 let mut clock = Clock::new();
+                let mut seat = ctx.seat(WorkerKind::Loader);
                 ds_trace::span_begin(clock.now(), "loader");
                 let mut b = 0u64;
                 while let Some(sample) = sample_rx.pop(&mut clock) {
@@ -709,6 +865,9 @@ fn run_rank_pipelined(
                     }
                     b += 1;
                 }
+                if b == total {
+                    seat.done();
+                }
                 ds_trace::span_end(clock.now());
                 Ok(clock)
             },
@@ -719,6 +878,7 @@ fn run_rank_pipelined(
             move || -> Result<(Clock, MetricAccumulator), DspError> {
                 let _trace = ds_trace::worker(rank, ds_trace::TID_TRAINER);
                 let mut clock = Clock::new();
+                let mut seat = ctx.seat(WorkerKind::Trainer);
                 ds_trace::span_begin(clock.now(), "trainer");
                 let mut metrics = MetricAccumulator::default();
                 let mut b = 0u64;
@@ -752,6 +912,9 @@ fn run_rank_pipelined(
                     ctx.maybe_checkpoint(trainer, &clock, base, b)?;
                     metrics.add(r.loss, r.accuracy, r.seeds);
                     b += 1;
+                }
+                if b == total {
+                    seat.done();
                 }
                 ds_trace::span_end(clock.now());
                 Ok((clock, metrics))
@@ -812,6 +975,10 @@ fn run_rank_seq(
     let exchange = exchange.as_ref();
     let _trace = ds_trace::worker(ctx.rank as u32, ds_trace::TID_MAIN);
     let mut clock = Clock::new();
+    // One thread plays all three workers, so an early return gives up
+    // all three seats.
+    let mut seats =
+        [WorkerKind::Sampler, WorkerKind::Loader, WorkerKind::Trainer].map(|w| ctx.seat(w));
     ds_trace::span_begin(clock.now(), "rank");
     let mut metrics = MetricAccumulator::default();
     let (mut sb, mut lb, mut tb) = (0.0, 0.0, 0.0);
@@ -893,6 +1060,7 @@ fn run_rank_seq(
         tb += b3 - b2;
         metrics.add(r.loss, r.accuracy, r.seeds);
     }
+    seats.iter_mut().for_each(Seat::done);
     ds_trace::span_end(clock.now());
     Ok(RankEpoch {
         sample_busy: sb,
@@ -1251,6 +1419,7 @@ impl DspSystem {
             start,
             num_ranks: self.ranks.len(),
         });
+        let shared = Arc::new(EpochShared::default());
         let ctxs: Vec<RankCtx> = (0..self.ranks.len())
             .map(|rank| RankCtx {
                 rank,
@@ -1265,6 +1434,7 @@ impl DspSystem {
                 exchange_comm: self.exchange_comm.clone(),
                 ccc: self.ccc.clone(),
                 sup: Arc::clone(&self.supervisor),
+                shared: Arc::clone(&shared),
                 ckpt: ckpt.clone(),
             })
             .collect();
@@ -1395,5 +1565,72 @@ impl DspSystem {
     /// Accuracy on the held-out validation set (renumbered internally).
     pub fn validation_accuracy(&mut self) -> f64 {
         self.evaluate_validation()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    const LONG: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn rejoin_boundary_heals_once_after_the_last_arrival() {
+        let shared = EpochShared::default();
+        let (arrived, heals) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for rank in 0..4u64 {
+                let (shared, arrived, heals) = (&shared, &arrived, &heals);
+                s.spawn(move || {
+                    std::thread::sleep(Duration::from_millis(10 * rank));
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let healed = shared.rejoin_boundary(3, 4, LONG, || {
+                        assert_eq!(arrived.load(Ordering::SeqCst), 4, "healed early");
+                        std::thread::sleep(Duration::from_millis(20));
+                        heals.fetch_add(1, Ordering::SeqCst);
+                    });
+                    assert!(healed);
+                    assert_eq!(heals.load(Ordering::SeqCst), 1, "released mid-heal");
+                });
+            }
+        });
+        // Another boundary of the same epoch starts from zero.
+        assert!(shared.rejoin_boundary(7, 1, LONG, || ()));
+    }
+
+    #[test]
+    fn rejoin_boundary_gives_up_when_a_peer_never_arrives() {
+        let shared = EpochShared::default();
+        let start = Instant::now();
+        let healed = shared.rejoin_boundary(3, 2, Duration::from_millis(50), || {
+            panic!("one of two arrived: nobody heals")
+        });
+        assert!(!healed);
+        assert!(start.elapsed() >= Duration::from_millis(50));
+        // The straggler still heals when it does arrive, and a fresh
+        // epoch (a re-run of this one) does not see the stale count.
+        let mut ran = false;
+        assert!(shared.rejoin_boundary(3, 2, LONG, || ran = true));
+        assert!(ran);
+        let rerun = EpochShared::default();
+        assert!(!rerun.rejoin_boundary(3, 2, Duration::from_millis(1), || unreachable!()));
+    }
+
+    #[test]
+    fn dooming_the_epoch_releases_a_parked_sampler() {
+        let shared = EpochShared::default();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let start = Instant::now();
+                let healed = shared.rejoin_boundary(3, 2, LONG, || unreachable!());
+                (healed, start.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(30));
+            shared.doom();
+            let (healed, waited) = waiter.join().unwrap();
+            assert!(!healed);
+            assert!(waited < Duration::from_secs(10), "sat out the deadline");
+        });
     }
 }

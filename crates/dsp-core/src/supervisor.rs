@@ -11,8 +11,7 @@
 
 use ds_simgpu::WorkerKind;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -162,9 +161,6 @@ pub struct Supervisor {
     beats: Mutex<HashMap<(usize, WorkerKind), Beat>>,
     report: Mutex<FaultReport>,
     shards: Mutex<HashMap<usize, (ShardState, u64, f64)>>,
-    /// Arrivals per [`Self::rendezvous`] point.
-    meets: Mutex<HashMap<(u64, u64), usize>>,
-    met: Condvar,
 }
 
 impl Supervisor {
@@ -194,31 +190,6 @@ impl Supervisor {
             .iter()
             .min_by(|a, b| a.1.vtime.total_cmp(&b.1.vtime))
             .map(|(&k, &v)| (k, v))
-    }
-
-    /// Wall-clock rendezvous: blocks until `n` workers have called this
-    /// with the same `point`, or `timeout` passes (a worker that died
-    /// never arrives; the caller proceeds and meets the failure where
-    /// it can be typed). Virtual clocks are untouched. Reusable: a
-    /// point met again (the same epoch re-run) waits for the next `n`.
-    pub fn rendezvous(&self, point: (u64, u64), n: usize, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut meets = lock_unpoisoned(&self.meets);
-        let arrived = meets.entry(point).or_insert(0);
-        *arrived += 1;
-        let full = arrived.div_ceil(n) * n;
-        self.met.notify_all();
-        while meets[&point] < full {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            meets = self
-                .met
-                .wait_timeout(meets, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
     }
 
     /// Records one retry of `batch` on `rank`.

@@ -6,8 +6,7 @@
 //! traffic and modelled time differ. That isolates exactly what the
 //! paper's Tables 4/6 and Figures 1/11 measure.
 
-use crate::csp::CspConfig;
-use crate::local::{self, request_rng};
+use crate::local::{self, request_rng, DrawParams};
 use crate::sample::{next_dst, GraphSample, SampleLayer};
 use crate::{BatchSampler, DistGraph};
 use ds_comm::Communicator;
@@ -15,26 +14,18 @@ use ds_graph::{Csr, NodeId};
 use ds_simgpu::{Clock, Cluster};
 use std::sync::Arc;
 
-/// The draw configuration of a baseline: node-wise, the caller's
-/// fan-out and seed — what [`local::sample_frontier`] keys its draws on.
-fn baseline_cfg(fanout: Vec<usize>, biased: bool, seed: u64) -> CspConfig {
-    CspConfig {
-        biased,
-        ..CspConfig::node_wise(fanout).with_seed(seed)
-    }
-}
-
 /// One layer's draws on a locally-accessible full topology, in
 /// `frontier` order. Returns (offsets, neighbors).
 fn sample_layer(
     g: &Csr,
-    cfg: &CspConfig,
+    draw: DrawParams,
+    fan: usize,
     batch: u64,
     layer: usize,
     frontier: &[NodeId],
 ) -> (Vec<u32>, Vec<NodeId>) {
-    let fan = cfg.fanout[layer] as u32;
-    local::sample_frontier(g, cfg, batch, layer, frontier.iter().map(|&v| (v, fan)))
+    let requests = frontier.iter().map(|&v| (v, fan as u32));
+    local::sample_frontier(g, draw, batch, layer, requests)
 }
 
 /// Which UVA-based system is being modelled.
@@ -54,7 +45,8 @@ pub struct UvaSampler {
     graph: Arc<Csr>,
     cluster: Arc<Cluster>,
     rank: usize,
-    cfg: CspConfig,
+    fanout: Vec<usize>,
+    draw: DrawParams,
     variant: UvaVariant,
     batch_index: u64,
 }
@@ -74,7 +66,11 @@ impl UvaSampler {
             graph,
             cluster,
             rank,
-            cfg: baseline_cfg(fanout, biased, seed),
+            fanout,
+            draw: DrawParams {
+                biased,
+                ..DrawParams::uniform(seed)
+            },
             variant,
             batch_index: 0,
         }
@@ -100,16 +96,17 @@ impl BatchSampler for UvaSampler {
 
         let batch = self.batch_index;
         self.batch_index += 1;
-        let mut layers = Vec::with_capacity(self.cfg.fanout.len());
-        for l in 0..self.cfg.fanout.len() {
+        let mut layers = Vec::with_capacity(self.fanout.len());
+        for (l, &fan) in self.fanout.iter().enumerate() {
             let frontier = next_dst(seeds, &layers);
             // indptr lookups: one 16 B UVA read per frontier node.
             clock.work_on(
                 self.cluster.uva_read(self.rank, frontier.len() as u64, 16),
                 ds_simgpu::clock::ResKind::Pcie,
             );
-            let (offsets, neighbors) = sample_layer(&self.graph, &self.cfg, batch, l, &frontier);
-            if self.cfg.biased {
+            let (offsets, neighbors) =
+                sample_layer(&self.graph, self.draw, fan, batch, l, &frontier);
+            if self.draw.biased {
                 // Biased sampling must read each node's whole adjacency
                 // and weight lists (§4.2): one large UVA read per node.
                 for &v in &frontier {
@@ -164,7 +161,8 @@ pub struct CpuSampler {
     rank: usize,
     /// Number of concurrent training processes (= GPUs) sharing the CPU.
     workers: usize,
-    cfg: CspConfig,
+    fanout: Vec<usize>,
+    draw: DrawParams,
     variant: CpuVariant,
     batch_index: u64,
 }
@@ -185,7 +183,8 @@ impl CpuSampler {
             cluster,
             rank,
             workers,
-            cfg: baseline_cfg(fanout, false, seed),
+            fanout,
+            draw: DrawParams::uniform(seed),
             variant,
             batch_index: 0,
         }
@@ -197,12 +196,13 @@ impl BatchSampler for CpuSampler {
         let model = *self.cluster.model();
         let batch = self.batch_index;
         self.batch_index += 1;
-        let mut layers = Vec::with_capacity(self.cfg.fanout.len());
+        let mut layers = Vec::with_capacity(self.fanout.len());
         let mut total_sampled = 0u64;
         let mut touched_bytes = 0u64;
-        for l in 0..self.cfg.fanout.len() {
+        for (l, &fan) in self.fanout.iter().enumerate() {
             let frontier = next_dst(seeds, &layers);
-            let (offsets, neighbors) = sample_layer(&self.graph, &self.cfg, batch, l, &frontier);
+            let (offsets, neighbors) =
+                sample_layer(&self.graph, self.draw, fan, batch, l, &frontier);
             total_sampled += neighbors.len() as u64;
             // CPU touches the adjacency metadata of each frontier node
             // plus one cache line per sampled neighbor.
@@ -382,7 +382,8 @@ pub struct IdealSampler {
     graph: Arc<Csr>,
     cluster: Arc<Cluster>,
     rank: usize,
-    cfg: CspConfig,
+    fanout: Vec<usize>,
+    draw: DrawParams,
     batch_index: u64,
 }
 
@@ -399,7 +400,8 @@ impl IdealSampler {
             graph,
             cluster,
             rank,
-            cfg: baseline_cfg(fanout, false, seed),
+            fanout,
+            draw: DrawParams::uniform(seed),
             batch_index: 0,
         }
     }
@@ -409,10 +411,11 @@ impl BatchSampler for IdealSampler {
     fn sample_batch(&mut self, clock: &mut Clock, seeds: &[NodeId]) -> GraphSample {
         let batch = self.batch_index;
         self.batch_index += 1;
-        let mut layers = Vec::with_capacity(self.cfg.fanout.len());
-        for l in 0..self.cfg.fanout.len() {
+        let mut layers = Vec::with_capacity(self.fanout.len());
+        for (l, &fan) in self.fanout.iter().enumerate() {
             let frontier = next_dst(seeds, &layers);
-            let (offsets, neighbors) = sample_layer(&self.graph, &self.cfg, batch, l, &frontier);
+            let (offsets, neighbors) =
+                sample_layer(&self.graph, self.draw, fan, batch, l, &frontier);
             // Exactly 4 bytes per sampled id, over NVLink, all remote.
             let bytes = neighbors.len() as u64 * 4;
             self.cluster

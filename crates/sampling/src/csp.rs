@@ -22,7 +22,7 @@
 //! systems overlap) checkable exactly in integration tests.
 
 use crate::dist_graph::DistGraph;
-use crate::local;
+use crate::local::{self, DrawParams};
 use crate::sample::{next_dst, GraphSample, SampleLayer};
 use crate::BatchSampler;
 use ds_comm::{CommError, Communicator};
@@ -112,6 +112,16 @@ impl CspConfig {
             fused: true,
             temporal_cutoff: None,
             seed: 0xD5,
+        }
+    }
+
+    /// The part of this configuration one node's draw reads.
+    pub fn draw_params(&self) -> DrawParams {
+        DrawParams {
+            seed: self.seed,
+            replace: matches!(self.scheme, Scheme::LayerWise { replace: true }),
+            biased: self.biased,
+            temporal_cutoff: self.temporal_cutoff,
         }
     }
 
@@ -345,7 +355,7 @@ impl CspSampler {
                 // pull path and the shadow replay reproduce them exactly.
                 let (offsets, flat) = local::sample_frontier(
                     &*self.graph,
-                    &self.cfg,
+                    self.cfg.draw_params(),
                     self.batch_index,
                     layer,
                     reqs.iter().copied(),
@@ -443,7 +453,7 @@ impl CspSampler {
         }
         let (offsets, neighbors) = local::sample_frontier(
             &*self.graph,
-            &self.cfg,
+            self.cfg.draw_params(),
             self.batch_index,
             layer,
             frontier.iter().copied().zip(counts.iter().copied()),

@@ -8,7 +8,6 @@
 //! baselines all go through them, so they cannot drift apart — and all
 //! of them append into caller-owned flat buffers, no per-node `Vec`.
 
-use crate::csp::{CspConfig, Scheme};
 use crate::sample::{next_dst, GraphSample, SampleLayer};
 use ds_graph::{Csr, NodeId};
 use ds_rng::Rng;
@@ -23,6 +22,33 @@ pub trait Adjacency {
 impl Adjacency for Csr {
     fn adjacency(&self, v: NodeId) -> (&[NodeId], Option<&[f32]>) {
         (self.neighbors(v), self.neighbor_weights(v))
+    }
+}
+
+/// What one node's draw depends on besides the graph and its
+/// `(batch, layer, node)` key — the part of a sampler's configuration
+/// the kernels read ([`crate::csp::CspConfig::draw_params`] derives it).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DrawParams {
+    /// Base RNG seed.
+    pub seed: u64,
+    /// Draw with replacement (layer-wise sampling's default).
+    pub replace: bool,
+    /// Biased (edge-weighted) instead of uniform selection.
+    pub biased: bool,
+    /// Only edges with `timestamp <= cutoff` are eligible.
+    pub temporal_cutoff: Option<f32>,
+}
+
+impl DrawParams {
+    /// Uniform, without replacement, no temporal filter.
+    pub fn uniform(seed: u64) -> Self {
+        DrawParams {
+            seed,
+            replace: false,
+            biased: false,
+            temporal_cutoff: None,
+        }
     }
 }
 
@@ -56,12 +82,12 @@ pub fn local_sample(
     seed: u64,
     batch: u64,
 ) -> GraphSample {
-    let cfg = CspConfig::node_wise(fanout.to_vec()).with_seed(seed);
+    let draw = DrawParams::uniform(seed);
     let mut layers: Vec<SampleLayer> = Vec::with_capacity(fanout.len());
     for (l, &fan) in fanout.iter().enumerate() {
         let dst = next_dst(seeds, &layers);
         let requests = dst.iter().map(|&v| (v, fan as u32));
-        let (offsets, neighbors) = sample_frontier(graph, &cfg, batch, l, requests);
+        let (offsets, neighbors) = sample_frontier(graph, draw, batch, l, requests);
         layers.push(SampleLayer::new(dst, offsets, neighbors));
     }
     GraphSample::new(seeds.to_vec(), layers)
@@ -72,7 +98,7 @@ pub fn local_sample(
 /// `offsets[i]..offsets[i + 1]` delimiting request `i`'s draw.
 pub fn sample_frontier<G: Adjacency>(
     graph: &G,
-    cfg: &CspConfig,
+    draw: DrawParams,
     batch: u64,
     layer: usize,
     requests: impl ExactSizeIterator<Item = (NodeId, u32)> + Clone,
@@ -82,7 +108,7 @@ pub fn sample_frontier<G: Adjacency>(
     let requested: usize = requests.clone().map(|(_, c)| c as usize).sum();
     let mut neighbors = Vec::with_capacity(requested);
     for (node, count) in requests {
-        draw_neighbors_into(graph, cfg, batch, layer, node, count, &mut neighbors);
+        draw_neighbors_into(graph, draw, batch, layer, node, count, &mut neighbors);
         offsets.push(neighbors.len() as u32);
     }
     (offsets, neighbors)
@@ -94,7 +120,7 @@ pub fn sample_frontier<G: Adjacency>(
 /// executes it.
 pub fn draw_neighbors_into<G: Adjacency>(
     graph: &G,
-    cfg: &CspConfig,
+    draw: DrawParams,
     batch: u64,
     layer: usize,
     node: NodeId,
@@ -106,9 +132,8 @@ pub fn draw_neighbors_into<G: Adjacency>(
     if k == 0 || nb.is_empty() {
         return;
     }
-    let replace = matches!(cfg.scheme, Scheme::LayerWise { replace: true });
-    let mut rng = request_rng(cfg.seed, batch, layer, node);
-    if let Some(cutoff) = cfg.temporal_cutoff {
+    let mut rng = request_rng(draw.seed, batch, layer, node);
+    if let Some(cutoff) = draw.temporal_cutoff {
         // Temporal predicate pushed with the task: restrict to edges no
         // newer than the cutoff. The eligible ids are filtered straight
         // into `out`'s tail and the draw happens on that tail in place.
@@ -121,12 +146,12 @@ pub fn draw_neighbors_into<G: Adjacency>(
                 .map(|(&u, _)| u),
         );
         let n = out.len() - start;
-        if replace && n > 0 {
+        if draw.replace && n > 0 {
             for _ in 0..k {
                 out.push(out[start + rng.gen_range(0..n)]);
             }
             out.drain(start..start + n);
-        } else if !replace && n > k {
+        } else if !draw.replace && n > k {
             // The tail is ours to permute: plain partial Fisher–Yates,
             // same draws and same picks as `sample_positions`.
             for i in 0..k {
@@ -135,50 +160,63 @@ pub fn draw_neighbors_into<G: Adjacency>(
             }
             out.truncate(start + k);
         }
-    } else if cfg.biased {
+    } else if draw.biased {
         let ws = ws.expect("biased sampling on an unweighted graph");
         sample_weighted_into(nb.iter().copied().zip(ws.iter().copied()), k, &mut rng, out);
-    } else if replace {
+    } else if draw.replace {
         sample_uniform_with_replacement_into(nb, k, &mut rng, out);
     } else {
         sample_uniform_into(nb, k, &mut rng, out);
     }
 }
 
-/// Swap-table entries [`sample_positions`] keeps on the stack. The
+/// Draws [`sample_positions`] serves from its on-stack swap table. The
 /// paper's fan-outs are 15/10/5; only layer-wise multinomial counts on
-/// high-degree nodes go past this.
-const INLINE_SWAPS: usize = 32;
+/// high-degree nodes go past this and spill the table to the heap.
+const INLINE_DRAWS: usize = 32;
 
 /// Draws `k` distinct positions of `0..n` uniformly (all of them, in
 /// order, if `n <= k`) and passes each to `emit`. Partial Fisher–Yates
 /// consuming exactly `gen_range(i..n)` for `i in 0..k` — that order is
-/// what every pinned sample hash rests on. Up to [`INLINE_SWAPS`] draws
-/// keep the sparse swap table in a stack array scanned linearly (no
-/// hashing, no allocation, O(k²) compares on ≤ 32 entries); more draws
-/// shuffle a dense index array instead, O(n) for that one node.
+/// what every pinned sample hash rests on.
+///
+/// The shuffle's sparse swap table (position → value now stored there)
+/// is one open-addressed array at load ≤ 1/2, probed linearly from a
+/// multiplicative hash: 64 slots on the stack up to [`INLINE_DRAWS`]
+/// draws, `2k` rounded up to a power of two on the heap beyond. Time
+/// and memory are O(k) whatever the degree `n`, and nothing is
+/// allocated on the inline side.
 pub fn sample_positions(n: usize, k: usize, rng: &mut Rng, mut emit: impl FnMut(usize)) {
     if n <= k {
         (0..n).for_each(emit);
-    } else if k <= INLINE_SWAPS {
-        // (position, value now stored there); latest entry wins.
-        let mut swaps = [(0usize, 0usize); INLINE_SWAPS];
-        for i in 0..k {
-            let j = rng.gen_range(i..n);
-            let at = |x: usize| {
-                let moved = swaps[..i].iter().rev().find(|s| s.0 == x);
-                moved.map_or(x, |s| s.1)
-            };
-            emit(at(j));
-            swaps[i] = (j, at(i));
-        }
+        return;
+    }
+    const EMPTY: u32 = u32::MAX;
+    assert!(n <= EMPTY as usize, "positions must stay below the marker");
+    let mut inline = [(EMPTY, 0u32); 2 * INLINE_DRAWS];
+    let mut spilled = Vec::new();
+    let slots: &mut [(u32, u32)] = if k <= INLINE_DRAWS {
+        &mut inline
     } else {
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..n);
-            emit(idx[j] as usize);
-            idx[j] = idx[i];
+        spilled.resize((2 * k).next_power_of_two(), (EMPTY, 0));
+        &mut spilled
+    };
+    let (shift, mask) = (64 - slots.len().trailing_zeros(), slots.len() - 1);
+    // The slot holding position `x`, or the empty one where it belongs.
+    let slot_of = |slots: &[(u32, u32)], x: u32| {
+        let mut s = ((x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while slots[s].0 != x && slots[s].0 != EMPTY {
+            s = (s + 1) & mask;
         }
+        s
+    };
+    for i in 0..k as u32 {
+        let j = rng.gen_range(i as usize..n) as u32;
+        let si = slot_of(slots, i);
+        let at_i = if slots[si].0 == EMPTY { i } else { slots[si].1 };
+        let sj = slot_of(slots, j);
+        emit(if slots[sj].0 == EMPTY { j } else { slots[sj].1 } as usize);
+        slots[sj] = (j, at_i);
     }
 }
 
@@ -322,8 +360,16 @@ mod tests {
 
     #[test]
     fn draw_kernel_matches_the_reference_around_the_inline_boundary() {
-        for k in [0, 1, INLINE_SWAPS - 1, INLINE_SWAPS, INLINE_SWAPS + 1, 199] {
-            for n in [0, 1, k.saturating_sub(1), k, k + 1, 2 * k + 3, 1999] {
+        for k in [
+            0,
+            1,
+            INLINE_DRAWS - 1,
+            INLINE_DRAWS,
+            INLINE_DRAWS + 1,
+            199,
+            1500,
+        ] {
+            for n in [0, 1, k.saturating_sub(1), k, k + 1, 2 * k + 3, 1999, 70_000] {
                 let nb: Vec<NodeId> = (0..n as NodeId).rev().collect();
                 let (mut r_new, mut r_ref) = (rng(), rng());
                 let got = sample_uniform(&nb, k, &mut r_new);
@@ -350,24 +396,22 @@ mod tests {
         let ts: Vec<f32> = (0..n).map(|i| (i % 2) as f32).collect();
         let g = Csr::from_raw(indptr, (100..100 + n).collect(), Some(ts));
         let eligible: Vec<NodeId> = (100..100 + n).step_by(2).collect();
-        for (scheme, count) in [
-            (Scheme::NodeWise, 7),
-            (Scheme::NodeWise, 45),
-            (Scheme::LayerWise { replace: false }, 29),
-            (Scheme::LayerWise { replace: true }, 50),
-        ] {
-            let mut cfg = CspConfig::node_wise(vec![count]).temporal(0.5);
-            cfg.scheme = scheme;
+        for (replace, count) in [(false, 7), (false, 45), (false, 29), (true, 50)] {
+            let draw = DrawParams {
+                replace,
+                temporal_cutoff: Some(0.5),
+                ..DrawParams::uniform(0xD5)
+            };
             let mut out = vec![1, 2, 3];
-            draw_neighbors_into(&g, &cfg, 4, 1, 0, count as u32, &mut out);
-            let mut r = request_rng(cfg.seed, 4, 1, 0);
+            draw_neighbors_into(&g, draw, 4, 1, 0, count as u32, &mut out);
+            let mut r = request_rng(draw.seed, 4, 1, 0);
             let mut want = vec![1, 2, 3];
-            if scheme == (Scheme::LayerWise { replace: true }) {
+            if replace {
                 sample_uniform_with_replacement_into(&eligible, count, &mut r, &mut want);
             } else {
                 want.extend(sample_uniform_reference(&eligible, count, &mut r));
             }
-            assert_eq!(out, want, "{scheme:?} count={count}");
+            assert_eq!(out, want, "replace={replace} count={count}");
         }
     }
 

@@ -49,6 +49,7 @@ pub fn shadow_batch(
     batch: u64,
     seeds: &[NodeId],
 ) -> ShadowBatch {
+    let draw = cfg.draw_params();
     let mut frontier: Vec<NodeId> = seeds.to_vec();
     let mut sampled_edges = 0u64;
     for (l, &fan) in cfg.fanout.iter().enumerate() {
@@ -68,7 +69,7 @@ pub fn shadow_batch(
         let n = frontier.len();
         for i in 0..n {
             let node = frontier[i];
-            draw_neighbors_into(graph, cfg, batch, l, node, counts[i], &mut frontier);
+            draw_neighbors_into(graph, draw, batch, l, node, counts[i], &mut frontier);
         }
         sampled_edges += (frontier.len() - n) as u64;
         sort_dedup(&mut frontier);

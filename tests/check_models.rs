@@ -619,6 +619,129 @@ fn unfenced_generation_wait_loses_a_wake_somewhere() {
 }
 
 // ---------------------------------------------------------------------
+// The sampler rejoin boundary (dsp-core `EpochShared::rejoin_boundary`)
+// ---------------------------------------------------------------------
+//
+// A crash..rejoin window has every rank take its sampler out of the
+// CCC launch order at the crash batch (`skip_worker`; the crashed rank
+// also marks itself failed) and put it back at the rejoin batch
+// (`readmit_worker`). Every rank reaches those batches, but not at the
+// same wall time: a sampler runs ahead of its loader by the queue
+// depth, so one rank can stand at the rejoin batch before its peer has
+// even crashed. These models run the boundary on the production
+// Coordinator. The protocol in use — arrivals are counted; the *last*
+// sampler to arrive readmits everyone, heals the group and only then
+// releases the others — is wedge-free in every schedule. The three
+// obvious variants are not, and the explorer finds each wedge: healing
+// on arrival lets the leader push a round entry that a slower rank's
+// skip then drains; waiting for a *healthy group* instead of for the
+// healer lets the first rank through before the crash has happened;
+// releasing before the readmission lets a waiter launch while its own
+// entry is still on the skip list.
+
+const SAMPLER: u32 = 1;
+
+#[derive(Clone, Copy, PartialEq)]
+enum RejoinBy {
+    /// Production: last arriver readmits, heals, then releases.
+    LastArriver,
+    /// Every rank heals the moment it reaches the boundary.
+    OnArrival,
+    /// Last arriver heals, but the others wait on the group's health.
+    AwaitHealth,
+    /// Last arriver, but the others are released before readmission.
+    ReleaseFirst,
+}
+
+fn rejoin_boundary_workload(by: RejoinBy) {
+    let ccc = Arc::new(Coordinator::new(2));
+    let m = Arc::new(Membership::new());
+    // (arrived, released) and its wake-up.
+    let at = Arc::new((
+        ds_check::sync::Mutex::new((0usize, false)),
+        ds_check::sync::Condvar::new(),
+    ));
+    let samplers: Vec<_> = (0..2usize)
+        .map(|rank| {
+            let (ccc, m, at) = (Arc::clone(&ccc), Arc::clone(&m), Arc::clone(&at));
+            ds_check::spawn(move || {
+                // Crash batch: rank 1's sampler dies; both leave the
+                // launch order.
+                if rank == 1 {
+                    m.mark_failed(1);
+                }
+                ccc.skip_worker(rank, SAMPLER);
+                // Rejoin batch.
+                let last = by == RejoinBy::OnArrival || {
+                    let mut st = at.0.lock().unwrap();
+                    st.0 += 1;
+                    st.0 == 2
+                };
+                let release = || {
+                    at.0.lock().unwrap().1 = true;
+                    at.1.notify_all();
+                };
+                if last {
+                    if by == RejoinBy::ReleaseFirst {
+                        release();
+                    }
+                    (0..2).for_each(|r| ccc.readmit_worker(r, SAMPLER));
+                    heal(&m, 1);
+                    release();
+                } else if by == RejoinBy::AwaitHealth {
+                    m.await_member(1);
+                } else {
+                    let mut st = at.0.lock().unwrap();
+                    while !st.1 {
+                        st = at.1.wait(st).unwrap();
+                    }
+                }
+                // First collective round after the rejoin.
+                ccc.launch(rank, SAMPLER, || ());
+            })
+        })
+        .collect();
+    for t in samplers {
+        t.join();
+    }
+}
+
+fn rejoin_variant_wedges(by: RejoinBy) {
+    let failure = explore(&dfs_plus_pct(4000, 300), move || {
+        rejoin_boundary_workload(by)
+    })
+    .expect_err("some schedule must strand a sampler launch");
+    assert!(
+        matches!(failure.kind, FailureKind::Deadlock(_)),
+        "got {}",
+        failure.kind
+    );
+}
+
+#[test]
+fn sampler_rejoin_by_the_last_arriver_never_strands_a_launch() {
+    let report = check("rejoin-last-arriver", &dfs_plus_pct(4000, 300), || {
+        rejoin_boundary_workload(RejoinBy::LastArriver)
+    });
+    assert!(report.schedules > 10, "exploration actually branched");
+}
+
+#[test]
+fn sampler_rejoin_on_arrival_strands_the_slower_rank_somewhere() {
+    rejoin_variant_wedges(RejoinBy::OnArrival);
+}
+
+#[test]
+fn sampler_rejoin_awaiting_group_health_passes_before_the_crash_somewhere() {
+    rejoin_variant_wedges(RejoinBy::AwaitHealth);
+}
+
+#[test]
+fn sampler_rejoin_released_before_readmission_strands_the_waiter_somewhere() {
+    rejoin_variant_wedges(RejoinBy::ReleaseFirst);
+}
+
+// ---------------------------------------------------------------------
 // ds-serve: micro-batcher handshake
 // ---------------------------------------------------------------------
 
