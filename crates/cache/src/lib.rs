@@ -30,8 +30,8 @@ pub mod replicated;
 
 pub use dynamic::{BeladyOracle, DynamicPolicy, DynamicPolicyKind, PolicyCache};
 pub use loader::{
-    shard_rebuild_status, CpuLoader, DspLoader, FeatureLoader, HostLoader, LoaderStats,
-    PrefetchedWindow, RebuildStatus, ReplicatedLoader,
+    shard_rebuild_status, CpuLoader, DspLoader, FeatureBuffers, FeatureLoader, HostLoader,
+    LoaderStats, PrefetchedWindow, RebuildStatus, ReplicatedLoader,
 };
 pub use partitioned::PartitionedCache;
 pub use policy::CachePolicy;

@@ -17,7 +17,7 @@ use ds_simgpu::{par, Clock, Cluster};
 use ds_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Hit/miss counters shared by all loaders.
 #[derive(Debug, Default)]
@@ -50,27 +50,29 @@ impl LoaderStats {
     }
 }
 
-/// One prefetched batch window: the cold feature rows the shadow replay
-/// predicted batch `batch` will need, staged ahead of time so the
-/// loader's cold path finds them in device memory instead of paying a
-/// demand UVA read.
+/// One prefetched batch window: the sorted ids of the cold rows the
+/// shadow replay predicted batch `batch` will need. What is *modelled*:
+/// those rows cross PCIe ahead of time in the prefetch lane (charged on
+/// the prefetcher's clock) and cost the loader an HBM copy on use
+/// instead of a demand UVA read. What the host *executes*: nothing
+/// moves ahead of time — host memory is one address space in the
+/// simulator, so the window carries no bytes and the loader gathers a
+/// covered row from the host store exactly once, like a demand row.
 pub struct PrefetchedWindow {
     batch: u64,
     /// Sorted covered node ids.
     nodes: Vec<NodeId>,
-    rows: Matrix,
 }
 
 impl PrefetchedWindow {
-    /// Wraps staged rows; `nodes[i]`'s row is `rows.row(i)` and `nodes`
-    /// must be sorted (the shadow input set already is).
-    pub fn new(batch: u64, nodes: Vec<NodeId>, rows: Matrix) -> Self {
+    /// Wraps the covered ids; `nodes` must be sorted (the shadow input
+    /// set already is).
+    pub fn new(batch: u64, nodes: Vec<NodeId>) -> Self {
         debug_assert!(
             nodes.windows(2).all(|w| w[0] < w[1]),
             "nodes must be sorted"
         );
-        debug_assert_eq!(nodes.len(), rows.rows());
-        PrefetchedWindow { batch, nodes, rows }
+        PrefetchedWindow { batch, nodes }
     }
 
     /// The global batch index this window was staged for.
@@ -78,24 +80,104 @@ impl PrefetchedWindow {
         self.batch
     }
 
-    /// Number of staged rows.
+    /// Number of covered rows.
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Whether the window stages nothing.
+    /// Whether the window covers nothing.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
-    /// Index of `v`'s staged row, if covered.
-    pub fn index_of(&self, v: NodeId) -> Option<usize> {
-        self.nodes.binary_search(&v).ok()
+    /// Whether `v`'s row was staged by this window.
+    pub fn covers(&self, v: NodeId) -> bool {
+        self.nodes.binary_search(&v).is_ok()
+    }
+}
+
+/// Recycled buffers a rank keeps between batches: one being filled by
+/// the loader while the trainer still holds the other.
+const SPARE_BUFFERS: usize = 2;
+
+#[derive(Default)]
+struct FreeList {
+    /// Capacity (in `f32`s) of every pooled buffer; 0 until the first
+    /// [`FeatureBuffers::prepare`] that has seen a batch.
+    capacity: usize,
+    /// Largest batch matrix requested so far.
+    max_len: usize,
+    spares: Vec<Vec<f32>>,
+}
+
+/// A rank's free list of batch feature buffers: the loader takes the
+/// matrix it gathers into from here and the trainer hands it back once
+/// the batch's optimizer step is done, so a steady-state epoch
+/// allocates, zero-fills and page-faults no feature memory.
+///
+/// Buffers are allocated only by [`Self::prepare`], which the thread
+/// that launches an epoch calls between epochs: per-epoch worker
+/// threads that grew a long-lived list would pin its chunks in whatever
+/// malloc arena each happened to draw. Workers only pop and push; one
+/// that finds no fitting buffer allocates a plain matrix, which is
+/// dropped on return (its capacity is not the prepared one).
+#[derive(Clone, Default)]
+pub struct FeatureBuffers(Arc<Mutex<FreeList>>);
+
+impl FeatureBuffers {
+    /// Every update below is a single push, pop or store, so the list
+    /// is valid at any panic point and a poisoned lock (a trainer that
+    /// panicked mid-return) must not take the loader down with it.
+    fn lock(&self) -> MutexGuard<'_, FreeList> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The staged row at `idx`.
-    pub fn row(&self, idx: usize) -> &[f32] {
-        self.rows.row(idx)
+    /// Tops the list up to [`SPARE_BUFFERS`] buffers sized for the
+    /// largest batch seen so far plus an eighth, replacing them all
+    /// when a batch has outgrown the prepared capacity.
+    pub fn prepare(&self) {
+        let mut list = self.lock();
+        if list.max_len > list.capacity {
+            list.capacity = list.max_len + list.max_len / 8;
+            list.spares.clear();
+        }
+        while list.capacity > 0 && list.spares.len() < SPARE_BUFFERS {
+            let buf = Vec::with_capacity(list.capacity);
+            list.spares.push(buf);
+        }
+    }
+
+    /// A `rows × dim` matrix whose contents are unspecified: the caller
+    /// overwrites every row. Reuse only moves the length (growing past
+    /// the previous batch fills just the difference).
+    fn take(&self, rows: usize, dim: usize) -> Matrix {
+        let len = rows * dim;
+        let spare = {
+            let mut list = self.lock();
+            list.max_len = list.max_len.max(len);
+            if len <= list.capacity {
+                list.spares.pop()
+            } else {
+                None
+            }
+        };
+        let data = match spare {
+            Some(mut buf) => {
+                buf.resize(len, 0.0);
+                buf
+            }
+            None => vec![0.0; len],
+        };
+        Matrix::from_vec(rows, dim, data)
+    }
+
+    /// Returns a batch's feature matrix once nothing reads it anymore.
+    pub fn give_back(&self, feats: Matrix) {
+        let buf = feats.into_vec();
+        let mut list = self.lock();
+        if buf.capacity() == list.capacity && list.spares.len() < SPARE_BUFFERS {
+            list.spares.push(buf);
+        }
     }
 }
 
@@ -203,6 +285,8 @@ pub struct DspLoader {
     /// (shard loss pushed demand fetches past the prediction); the
     /// pipeline drains it into the fault report.
     window_dropped: bool,
+    /// Where the batch feature matrices come from and go back to.
+    buffers: FeatureBuffers,
 }
 
 impl DspLoader {
@@ -224,6 +308,7 @@ impl DspLoader {
             stats,
             dynamic: None,
             window_dropped: false,
+            buffers: FeatureBuffers::default(),
         }
     }
 
@@ -259,6 +344,13 @@ impl DspLoader {
         self.dynamic.as_ref().map(|d| d.cache.decision_hash())
     }
 
+    /// A handle on this rank's feature-buffer free list, for whoever
+    /// launches epochs ([`FeatureBuffers::prepare`]) and whoever
+    /// consumes the loaded matrices ([`FeatureBuffers::give_back`]).
+    pub fn feature_buffers(&self) -> FeatureBuffers {
+        self.buffers.clone()
+    }
+
     /// Takes (and clears) the dropped-window flag.
     pub fn take_window_dropped(&mut self) -> bool {
         std::mem::take(&mut self.window_dropped)
@@ -277,9 +369,9 @@ impl DspLoader {
     }
 
     /// [`Self::try_load`] with an optional prefetched window (cold rows
-    /// the window covers are served from the staged buffer instead of a
-    /// demand UVA read) at a global `batch` index, which keys the
-    /// shard-rebuild schedule.
+    /// the window covers are charged an HBM copy instead of a demand
+    /// UVA read — their PCIe time is on the prefetcher's clock) at a
+    /// global `batch` index, which keys the shard-rebuild schedule.
     pub fn try_load_windowed(
         &mut self,
         clock: &mut Clock,
@@ -447,7 +539,6 @@ impl DspLoader {
         // shared pool in one parallel pass.
         enum RowSrc {
             Hot { owner: usize, start: usize },
-            Staged(usize),
             Cold(NodeId),
         }
         let mut row_cursor = vec![0usize; n];
@@ -464,20 +555,17 @@ impl DspLoader {
                 row_cursor[o] += dim;
             } else {
                 cold += 1;
-                match window.and_then(|w| w.index_of(v)) {
-                    Some(idx) => {
-                        srcs.push(RowSrc::Staged(idx));
-                        staged += 1;
-                    }
-                    None => srcs.push(RowSrc::Cold(v)),
-                }
+                staged += u64::from(window.is_some_and(|w| w.covers(v)));
+                srcs.push(RowSrc::Cold(v));
             }
         }
         // Cold path over UVA, overlapped with the NVLink path: the
         // slower of the two determines the elapsed time, so roll back
         // the NVLink row-transfer time if UVA dominates. Staged rows
-        // already crossed PCIe in the prefetcher's lane — here they
-        // cost only a device-side copy.
+        // are modelled as already on the device — their PCIe time was
+        // charged in the prefetcher's lane, here they are charged an
+        // HBM copy — while the host executes the same single gather
+        // from the host store for them as for a demand row.
         let demand = cold - staged;
         let uva_time = self.cluster.uva_read(self.rank, demand, dim as u64 * 4);
         if uva_time > nvlink_path {
@@ -501,14 +589,11 @@ impl DspLoader {
                 self.window_dropped = true;
             }
         }
-        let mut out = Matrix::zeros(nodes.len(), dim);
+        let mut out = self.buffers.take(nodes.len(), dim);
         let host = &self.host;
         par::chunk_map_mut(out.data_mut(), dim, |i, dst| match srcs[i] {
             RowSrc::Hot { owner, start } => {
                 dst.copy_from_slice(&recv_rows[owner][start..start + dim])
-            }
-            RowSrc::Staged(idx) => {
-                dst.copy_from_slice(window.expect("staged row without window").row(idx))
             }
             RowSrc::Cold(v) => dst.copy_from_slice(host.row(v)),
         });
@@ -959,18 +1044,10 @@ mod tests {
     #[test]
     fn prefetched_window_turns_cold_rows_into_staged_hits() {
         let (f, _) = setup(64, 8);
-        let ranges = vec![0u32..64];
-        let order: Vec<NodeId> = (0..8).collect();
-        let cache = Arc::new(PartitionedCache::build(&f, &ranges, &order, 8 * 32));
-        let cluster = Arc::new(ClusterSpec::v100(1).build());
-        let comm = Arc::new(Communicator::new(42, Arc::clone(&cluster)));
-        let mut l = DspLoader::new(cache, Arc::clone(&f), Arc::clone(&cluster), comm, 0);
-        let staged: Vec<NodeId> = vec![30, 40];
-        let mut data = Vec::new();
-        for &v in &staged {
-            data.extend_from_slice(f.row(v));
-        }
-        let w = PrefetchedWindow::new(0, staged, Matrix::from_vec(2, 8, data));
+        let mut l = single_rank_loader(&f, 42);
+        // The window carries ids only: the rows below can only have
+        // come from the host store.
+        let w = PrefetchedWindow::new(0, vec![30, 40]);
         let mut clock = Clock::new();
         let m = l
             .try_load_windowed(&mut clock, &[3, 30, 40], Some(&w), 0)
@@ -984,6 +1061,112 @@ mod tests {
         assert_eq!(l.stats().cold_fetches.load(Ordering::Relaxed), 2);
         assert_eq!(l.stats().prefetch_hits.load(Ordering::Relaxed), 2);
         assert!(!l.take_window_dropped());
+    }
+
+    /// One rank, 64 nodes, nodes 0..8 cached.
+    fn single_rank_loader(f: &Arc<Features>, comm_id: u32) -> DspLoader {
+        let order: Vec<NodeId> = (0..8).collect();
+        let budget = 8 * f.row_bytes().max(1);
+        let cache = Arc::new(PartitionedCache::build(f, &[0u32..64], &order, budget));
+        let cluster = Arc::new(ClusterSpec::v100(1).build());
+        let comm = Arc::new(Communicator::new(comm_id, Arc::clone(&cluster)));
+        DspLoader::new(cache, Arc::clone(f), cluster, comm, 0)
+    }
+
+    fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+        let data = m.data().iter().map(|x| x.to_bits()).collect();
+        (m.rows(), m.cols(), data)
+    }
+
+    #[test]
+    fn recycled_buffers_never_leak_stale_rows() {
+        let all: Vec<NodeId> = (0..64).collect();
+        let window = PrefetchedWindow::new(0, vec![30, 40]);
+        // (nodes, window): hot-only, cold-only, windowed, and the split
+        // shape (only a block's dst rows, a short hot/cold mix).
+        let cases: [(&[NodeId], Option<&PrefetchedWindow>); 4] = [
+            (&[0, 3, 5], None),
+            (&[20, 30, 40, 50], None),
+            (&[3, 30, 40], Some(&window)),
+            (&[1, 33], None),
+        ];
+        // What came back before the load under test: a NaN-filled
+        // buffer last used for a larger batch, one last used for a
+        // smaller batch, or nothing (both prepared buffers still out).
+        let returned: [Option<&[NodeId]>; 3] = [Some(&all), Some(&[7]), None];
+        for dim in [8usize, 0] {
+            let f = Arc::new(if dim == 0 {
+                Features::zeros(64, 0)
+            } else {
+                Features::from_raw(dim, (0..64 * dim).map(|i| (i % 97) as f32).collect())
+            });
+            for (nodes, w) in cases {
+                let mut clock = Clock::new();
+                let fresh = single_rank_loader(&f, 50)
+                    .try_load_windowed(&mut clock, nodes, w, 0)
+                    .unwrap();
+                for stale_nodes in returned {
+                    let what = format!("dim {dim} {nodes:?} after {stale_nodes:?}");
+                    let mut l = single_rank_loader(&f, 51);
+                    let buffers = l.feature_buffers();
+                    // An epoch has run (so the list knows its size) and
+                    // the next one is being launched.
+                    l.try_load(&mut clock, &all).unwrap();
+                    buffers.prepare();
+                    let mut held = Vec::new();
+                    let stale_at = match stale_nodes {
+                        Some(stale_nodes) => {
+                            let mut stale = l.try_load(&mut clock, stale_nodes).unwrap();
+                            stale.data_mut().fill(f32::NAN);
+                            let at = stale.data().as_ptr();
+                            buffers.give_back(stale);
+                            Some(at)
+                        }
+                        None => {
+                            held.extend((0..SPARE_BUFFERS).map(|_| l.try_load(&mut clock, &all)));
+                            None
+                        }
+                    };
+                    let got = l.try_load_windowed(&mut clock, nodes, w, 0).unwrap();
+                    if let (Some(at), true) = (stale_at, dim > 0) {
+                        assert_eq!(got.data().as_ptr(), at, "{what}: buffer not reused");
+                    }
+                    assert_eq!(bits(&got), bits(&fresh), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn free_list_pools_only_what_prepare_allocated() {
+        let (f, _) = setup(64, 8);
+        let mut l = single_rank_loader(&f, 52);
+        let buffers = l.feature_buffers();
+        let mut clock = Clock::new();
+        let all: Vec<NodeId> = (0..64).collect();
+        // Before any prepare, and before prepare has seen a batch,
+        // nothing is pooled: a worker's own allocation is dropped.
+        buffers.prepare();
+        let m = l.try_load(&mut clock, &all[..32]).unwrap();
+        buffers.give_back(m);
+        assert!(buffers.lock().spares.is_empty());
+        // Sized for the largest batch seen plus an eighth, two deep.
+        buffers.prepare();
+        assert_eq!(buffers.lock().capacity, 32 * 8 + 32);
+        assert_eq!(buffers.lock().spares.len(), SPARE_BUFFERS);
+        // A batch that outgrows the prepared capacity gets a plain
+        // matrix, not pooled on return; the next prepare resizes.
+        let big = l.try_load(&mut clock, &all).unwrap();
+        buffers.give_back(big);
+        assert_eq!(buffers.lock().spares.len(), SPARE_BUFFERS);
+        buffers.prepare();
+        assert_eq!(buffers.lock().capacity, 64 * 8 + 64);
+        // At most two spares are kept however many come back.
+        let held: Vec<Matrix> = (0..3)
+            .map(|_| l.try_load(&mut clock, &all).unwrap())
+            .collect();
+        held.into_iter().for_each(|m| buffers.give_back(m));
+        assert_eq!(buffers.lock().spares.len(), SPARE_BUFFERS);
     }
 
     #[test]

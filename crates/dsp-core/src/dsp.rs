@@ -686,7 +686,7 @@ fn pick_error(errs: Vec<DspError>) -> Option<DspError> {
 
 fn run_rank_pipelined(
     state: &mut RankState,
-    batches: Vec<Vec<NodeId>>,
+    batches: &[Vec<NodeId>],
     cap: usize,
     pf_window: usize,
     ctx: &RankCtx,
@@ -710,9 +710,9 @@ fn run_rank_pipelined(
     let base = sampler.next_batch_index();
     let total = batches.len() as u64;
     let run_pf = prefetcher.is_some() && pf_window > 0;
-    // The prefetcher replays the same seed schedule the sampler
-    // consumes, a bounded `pf_window` batches ahead.
-    let pf_batches: Vec<Vec<NodeId>> = if run_pf { batches.clone() } else { Vec::new() };
+    // The trainer hands each batch's feature matrix back to the
+    // loader's free list once its optimizer step is done.
+    let buffers = loader.feature_buffers();
     let (pf_tx, pf_rx) = if run_pf {
         let (tx, rx) = virtual_queue_labeled::<PrefetchedWindow>(pf_window, "q.prefetch");
         (Some(tx), Some(rx))
@@ -730,7 +730,9 @@ fn run_rank_pipelined(
                 let _trace = ds_trace::worker(rank, ds_trace::TID_PREFETCH);
                 let mut clock = Clock::new();
                 ds_trace::span_begin(clock.now(), "prefetcher");
-                for (i, seeds) in pf_batches.iter().enumerate() {
+                // The same seed schedule the sampler consumes, a
+                // bounded `pf_window` batches ahead.
+                for (i, seeds) in batches.iter().enumerate() {
                     let b = base + i as u64;
                     ds_trace::span_begin_arg(clock.now(), "prefetch", b);
                     let w = pf.fetch_window(&mut clock, b, seeds);
@@ -910,6 +912,7 @@ fn run_rank_pipelined(
                     // done and BSP left every replica equal: the only
                     // safe snapshot boundary.
                     ctx.maybe_checkpoint(trainer, &clock, base, b)?;
+                    buffers.give_back(feats);
                     metrics.add(r.loss, r.accuracy, r.seeds);
                     b += 1;
                 }
@@ -961,7 +964,7 @@ fn run_rank_pipelined(
 
 fn run_rank_seq(
     state: &mut RankState,
-    batches: Vec<Vec<NodeId>>,
+    batches: &[Vec<NodeId>],
     ctx: &RankCtx,
 ) -> Result<RankEpoch, DspError> {
     let RankState {
@@ -984,6 +987,7 @@ fn run_rank_seq(
     let (mut sb, mut lb, mut tb) = (0.0, 0.0, 0.0);
     let mut sampler_crashed = false;
     let base = sampler.next_batch_index();
+    let buffers = loader.feature_buffers();
     for (batch, seeds) in batches.iter().enumerate() {
         let b = batch as u64;
         if ctx.sampler_recoveries(sampler, &clock, b) {
@@ -1054,6 +1058,7 @@ fn run_rank_seq(
         let r = supervised_train(trainer, &mut clock, &sample, &feats, agg.as_ref(), b, ctx)?;
         ds_trace::span_end(clock.now());
         ctx.maybe_checkpoint(trainer, &clock, base, b)?;
+        buffers.give_back(feats);
         let b3 = clock.busy();
         sb += b1 - b0;
         lb += b2 - b1;
@@ -1173,7 +1178,6 @@ impl DspSystem {
                         Arc::clone(&layout.dist_graph),
                         csp_cfg.clone(),
                         Arc::clone(&layout.cache),
-                        Arc::clone(&layout.features),
                         Arc::clone(&cluster),
                         rank,
                     )
@@ -1419,6 +1423,11 @@ impl DspSystem {
             start,
             num_ranks: self.ranks.len(),
         });
+        // Feature buffers are allocated here, by the launching thread
+        // between epochs, never by the per-epoch workers below.
+        for r in &self.ranks {
+            r.loader.feature_buffers().prepare();
+        }
         let shared = Arc::new(EpochShared::default());
         let ctxs: Vec<RankCtx> = (0..self.ranks.len())
             .map(|rank| RankCtx {
@@ -1442,7 +1451,7 @@ impl DspSystem {
             let handles: Vec<_> = self
                 .ranks
                 .iter_mut()
-                .zip(batches)
+                .zip(&batches)
                 .zip(&ctxs)
                 .map(|((state, rank_batches), ctx)| {
                     ds_exec::spawn_scoped_named(scope, format!("dev-{}", ctx.rank), move || {

@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
-# Lock-discipline lint: production code in the comm and pipeline crates
-# must not unwrap mutex locks. A worker that panics while holding a lock
-# poisons it; `lock().unwrap()` then cascades that panic into every
-# other worker touching the structure, turning one fault into a hang or
-# a pile of secondary panics. Production code routes through the local
-# `lock_unpoisoned` helpers (`unwrap_or_else(PoisonError::into_inner)`)
-# instead. Test modules (after `mod tests`) may unwrap freely.
+# Lock-discipline lint: production code in the comm, pipeline, cache and
+# dsp-core crates must not unwrap mutex locks. A worker that panics
+# while holding a lock poisons it; `lock().unwrap()` then cascades that
+# panic into every other worker touching the structure, turning one
+# fault into a hang or a pile of secondary panics (a trainer dying while
+# it returns a feature buffer must not take its rank's loader with it).
+# Production code routes through the local `lock_unpoisoned` helpers
+# (`unwrap_or_else(PoisonError::into_inner)`) instead. Test modules
+# (after `mod tests`) may unwrap freely.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
-for f in crates/comm/src/*.rs crates/pipeline/src/*.rs crates/dsp-core/src/split.rs; do
+for f in crates/comm/src/*.rs crates/pipeline/src/*.rs crates/cache/src/*.rs \
+         crates/dsp-core/src/*.rs; do
     # Only lint lines above the file's test module, if any.
     hits=$(awk '/^(#\[cfg\(test\)\]|mod tests)/ { exit }
                 /\.lock\(\)[[:space:]]*\.unwrap\(\)|\.lock\(\)\.unwrap\(\)/ {
@@ -23,7 +26,7 @@ for f in crates/comm/src/*.rs crates/pipeline/src/*.rs crates/dsp-core/src/split
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "error: lock().unwrap() in production comm/pipeline code —" \
+    echo "error: lock().unwrap() in production comm/pipeline/cache/core code —" \
          "use the crate's lock_unpoisoned helper instead." >&2
 fi
 
