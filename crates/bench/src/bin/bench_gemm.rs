@@ -20,7 +20,7 @@
 //! forward+backward over a synthetic sample at `bench_pipeline`'s
 //! scale — the end-to-end number the kernel overhaul is gated on.
 //!
-//! Quick mode (`DSP_BENCH_QUICK=1`) only lowers the repeat counts;
+//! Quick mode (`DS_BENCH_QUICK=1`) only lowers the repeat counts;
 //! shapes and therefore hashes are identical in both modes, so the
 //! committed baseline's hash gate holds in CI.
 

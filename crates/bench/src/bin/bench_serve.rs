@@ -34,7 +34,7 @@ fn main() {
     ds_trace::recorder().set_enabled(true);
     ds_trace::recorder().clear();
 
-    // Fixed sizes regardless of DSP_BENCH_QUICK: the serving lane is
+    // Fixed sizes regardless of DS_BENCH_QUICK: the serving lane is
     // cheap, and a single shape keeps the committed baseline valid for
     // both CI and local runs.
     let spec = DatasetSpec::tiny(1500);

@@ -20,7 +20,7 @@
 //! | `ablation_*` | design-choice ablations beyond the paper |
 //!
 //! Run e.g. `cargo run --release -p ds-bench --bin table4_epoch_time`.
-//! Set `DSP_BENCH_QUICK=1` to use 4×-smaller datasets and fewer
+//! Set `DS_BENCH_QUICK=1` to use 4×-smaller datasets and fewer
 //! measurement epochs (CI mode); results keep their shape.
 
 use ds_graph::{Dataset, DatasetSpec};
@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 
 /// Whether quick (CI) mode is on.
 pub fn quick_mode() -> bool {
-    std::env::var("DSP_BENCH_QUICK").map_or(false, |v| v != "0" && !v.is_empty())
+    std::env::var("DS_BENCH_QUICK").map_or(false, |v| v != "0" && !v.is_empty())
 }
 
 /// Dataset down-scale factor in quick mode.

@@ -17,13 +17,13 @@
 //! is a plain index script: deterministic to [`replay`], minimized
 //! with `ds-testkit`'s ddmin before being reported.
 //!
-//! The production crates (`ds-pipeline`, `ds-comm`, `ds-exec`) expose
-//! a `check` cargo feature that swaps their `crate::sync` alias from
-//! `std::sync` re-exports (zero-cost, the default) onto these shims,
+//! The production crates (`ds-pipeline`, `ds-comm`, `ds-exec`) bind
+//! [`alias`] as their `crate::sync`: `std::sync` re-exports (zero-cost,
+//! the default), or these shims under this crate's `shim` feature,
 //! letting the *real* channel/rendezvous/executor protocols run under
 //! the model checker. Without an installed scheduler the shims behave
-//! exactly like `std`, so `--features check` builds still pass the
-//! normal test suite unchanged.
+//! exactly like `std`, so shimmed builds still pass the normal test
+//! suite unchanged.
 //!
 //! ```
 //! use ds_check::sync::{Arc, Mutex};
@@ -39,6 +39,7 @@
 //! assert!(report.complete);
 //! ```
 
+pub mod alias;
 pub mod model;
 pub(crate) mod sched;
 pub mod sync;

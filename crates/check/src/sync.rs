@@ -1,8 +1,8 @@
 //! Drop-in shims for the `std::sync` primitives the concurrency core
 //! uses. Outside a model execution they behave exactly like `std` (the
-//! shimmed crates only compile against these under their `check`
-//! feature, and even then nothing changes until a scheduler is
-//! installed on the thread). Inside [`crate::model::explore`] every
+//! shimmed crates only compile against these under the `shim` feature
+//! — see [`crate::alias`] — and even then nothing changes until a
+//! scheduler is installed on the thread). Inside [`crate::model::explore`] every
 //! operation becomes a scheduler decision point: acquisition, waiting
 //! and waking are *modeled* so the scheduler can explore interleavings
 //! and detect deadlocks/lost wakes, while the real `std` primitive

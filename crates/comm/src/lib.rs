@@ -21,7 +21,7 @@
 pub mod ccc;
 pub mod collective;
 pub mod slots;
-pub(crate) mod sync;
+pub(crate) use ds_check::alias as sync;
 
 pub use ccc::{Coordinator, LaunchOutcome};
 pub use collective::{Backend, CccHead, CommConfig, CommError, Communicator, Diagnostics};

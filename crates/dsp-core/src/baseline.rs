@@ -17,8 +17,8 @@
 
 use crate::config::{SystemKind, TrainConfig};
 use crate::layout::{build_host_layout, HostLayout};
-use crate::stats::{EpochStats, MetricAccumulator};
-use crate::system::{evaluate_model, System};
+use crate::stats::{EpochStats, MetricAccumulator, RankEpoch};
+use crate::system::{evaluate_model, sampler_epoch, System};
 use ds_cache::{CpuLoader, FeatureLoader, HostLoader, ReplicatedLoader};
 use ds_comm::Communicator;
 use ds_gnn::Trainer;
@@ -155,7 +155,7 @@ impl System for BaselineSystem {
     fn run_epoch(&mut self, epoch: u64) -> EpochStats {
         self.layout.cluster.reset_traffic();
         let exec = self.cfg.exec_compute;
-        let labels = Arc::clone(&self.layout.labels);
+        let labels = &self.layout.labels;
         let batches: Vec<Vec<Vec<NodeId>>> = self
             .layout
             .schedules
@@ -163,22 +163,13 @@ impl System for BaselineSystem {
             .map(|s| s.epoch_batches(epoch))
             .collect();
         let num_batches = batches.first().map(|b| b.len()).unwrap_or(0);
-        struct RankOut {
-            sample_busy: f64,
-            load_busy: f64,
-            train_busy: f64,
-            useful: f64,
-            makespan: f64,
-            metrics: MetricAccumulator,
-        }
-        let results: Vec<RankOut> = std::thread::scope(|scope| {
+        let results: Vec<RankEpoch> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .ranks
                 .iter_mut()
                 .zip(batches)
                 .enumerate()
                 .map(|(rank, (state, rank_batches))| {
-                    let labels = Arc::clone(&labels);
                     ds_exec::spawn_scoped_named(scope, format!("dev-{rank}"), move || {
                         let mut clock = Clock::new();
                         let mut metrics = MetricAccumulator::default();
@@ -202,7 +193,7 @@ impl System for BaselineSystem {
                             tb += b3 - b2;
                             metrics.add(r.loss, r.accuracy, r.seeds);
                         }
-                        RankOut {
+                        RankEpoch {
                             sample_busy: sb,
                             load_busy: lb,
                             train_busy: tb,
@@ -218,62 +209,14 @@ impl System for BaselineSystem {
                 .map(|h| h.join().expect("rank thread panicked"))
                 .collect()
         });
-        let mut metrics = MetricAccumulator::default();
-        for r in &results {
-            metrics.merge(&r.metrics);
-        }
-        let (loss, accuracy, seeds) = metrics.finish();
-        let (nvlink, pcie, _) = self.layout.cluster.traffic_totals();
-        let fmax = |f: fn(&RankOut) -> f64| results.iter().map(f).fold(0.0, f64::max);
-        EpochStats {
-            epoch_time: fmax(|r| r.makespan),
-            sample_time: fmax(|r| r.sample_busy),
-            load_time: fmax(|r| r.load_busy),
-            train_time: fmax(|r| r.train_busy),
-            utilization: results
-                .iter()
-                .map(|r| (r.useful / r.makespan.max(1e-12)).min(1.0))
-                .sum::<f64>()
-                / results.len().max(1) as f64,
-            loss,
-            accuracy,
-            nvlink_bytes: nvlink,
-            pcie_bytes: pcie,
-            num_batches,
-            seeds,
-            // Baselines run unsupervised: no retry or degradation
-            // machinery (faults still perturb their transfer timings).
-            retried_batches: 0,
-            degraded_ranks: 0,
-        }
+        // Baselines run unsupervised: no retry or degradation machinery
+        // (faults still perturb their transfer timings).
+        EpochStats::fold(&results, &self.layout.cluster, num_batches)
     }
 
     fn run_sampler_epoch(&mut self, epoch: u64) -> f64 {
-        let batches: Vec<Vec<Vec<NodeId>>> = self
-            .layout
-            .schedules
-            .iter()
-            .map(|s| s.epoch_batches(epoch))
-            .collect();
-        let times: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .ranks
-                .iter_mut()
-                .zip(batches)
-                .enumerate()
-                .map(|(rank, (state, rank_batches))| {
-                    ds_exec::spawn_scoped_named(scope, format!("dev-{rank}"), move || {
-                        let mut clock = Clock::new();
-                        for seeds in &rank_batches {
-                            let _ = state.sampler.sample_batch(&mut clock, seeds);
-                        }
-                        clock.now()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        times.into_iter().fold(0.0, f64::max)
+        let samplers = self.ranks.iter_mut().map(|r| &mut *r.sampler);
+        sampler_epoch(samplers, &self.layout.schedules, epoch)
     }
 
     fn evaluate_validation(&mut self) -> f64 {

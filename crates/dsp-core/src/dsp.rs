@@ -22,23 +22,26 @@ use crate::error::DspError;
 use crate::layout::{build_dsp_layout, DspLayout};
 use crate::prefetch::Prefetcher;
 use crate::split::SplitExchange;
-use crate::stats::{EpochStats, MetricAccumulator};
+use crate::stats::{EpochStats, MetricAccumulator, RankEpoch};
 use crate::supervisor::{FaultReport, RetryPolicy, Supervisor};
-use crate::system::{evaluate_model, System};
-use ds_cache::{DspLoader, DynamicPolicyKind, FeatureLoader, PrefetchedWindow, RebuildStatus};
+use crate::system::{evaluate_model, sampler_epoch, System};
+use ds_cache::{
+    DspLoader, DynamicPolicyKind, FeatureBuffers, FeatureLoader, PrefetchedWindow, RebuildStatus,
+};
 use ds_comm::{CommConfig, CommError, Communicator, Coordinator, DeviceSlots};
 use ds_gnn::{GnnKind, Trainer};
 use ds_graph::{Dataset, Labels, NodeId};
 use ds_pipeline::queue::virtual_queue_labeled;
+use ds_pipeline::QueueConsumer;
 use ds_sampling::csp::{CspConfig, CspSampler};
-use ds_sampling::sample::SampleLayer;
 use ds_sampling::shadow::shadow_batch;
-use ds_sampling::{BatchSampler, GraphSample};
+use ds_sampling::GraphSample;
 use ds_simgpu::{Clock, Cluster, WorkerKind};
 use ds_tensor::matrix::Matrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// Worker-group ids (peer workers share these across ranks).
@@ -59,16 +62,10 @@ struct RankState {
     exchange: Option<SplitExchange>,
 }
 
-/// Per-rank epoch measurement.
-struct RankEpoch {
-    sample_busy: f64,
-    load_busy: f64,
-    train_busy: f64,
-    /// Occupancy-weighted device-useful seconds (Fig. 6's metric).
-    useful: f64,
-    makespan: f64,
-    metrics: MetricAccumulator,
-}
+/// What the loader stage hands the trainer: the batch, its input
+/// features and split mode's combined innermost aggregate (`None`
+/// under data-parallel).
+type Loaded = (GraphSample, Matrix, Option<Matrix>);
 
 /// Checkpoint cadence for one epoch run (rank 0's trainer writes).
 #[derive(Clone)]
@@ -170,6 +167,12 @@ struct RankCtx {
     seed: u64,
     /// Epoch this run is executing (recorded in checkpoints).
     epoch: u64,
+    /// Global batch index of this run's first batch on this rank: the
+    /// prefetcher keys its shadow replay on it, the loader checks a
+    /// staged window against it, and checkpoints count from it.
+    base: u64,
+    /// Batches this run executes on this rank.
+    total: u64,
     labels: Arc<Labels>,
     cluster: Arc<Cluster>,
     sampler_comm: Arc<Communicator>,
@@ -236,10 +239,28 @@ impl RankCtx {
             .is_some_and(|h| h.worker_crashes(self.rank, worker, batch))
     }
 
+    /// How the loader and the trainer enter `batch`: an injected stall,
+    /// then a planned crash — fatal, since neither has a replacement —
+    /// then the heartbeat.
+    fn enter(&self, clock: &mut Clock, worker: WorkerKind, batch: u64) -> Result<(), DspError> {
+        self.stall(clock, worker, batch);
+        if self.crashes(worker, batch) {
+            ds_trace::instant(clock.now(), "crash", batch);
+            self.declare_dead(worker, batch);
+            return Err(DspError::WorkerCrashed {
+                rank: self.rank,
+                worker,
+                batch,
+            });
+        }
+        self.sup.heartbeat(self.rank, worker, batch, clock.now());
+        Ok(())
+    }
+
     /// Whether the fault plan crashes a *peer*'s sampler at `batch` and
-    /// brings it back later in this epoch (`total` batches). Pure and
-    /// shared, so every rank observes the window at the same batch
-    /// boundary and leaves the collective group together. The
+    /// brings it back later in this epoch. Pure and shared, so every
+    /// rank observes the window at the same batch boundary and leaves
+    /// the collective group together. The
     /// event-driven path (discovering the corpse inside a rendezvous)
     /// is not enough for a recoverable crash: a survivor running behind
     /// in real time can miss the whole crash..rejoin window and then
@@ -248,14 +269,15 @@ impl RankCtx {
     /// epoch. Permanent crashes stay event-driven — no round after the
     /// death ever completes, so every survivor is flushed out of its
     /// in-flight round regardless of timing.
-    fn peer_sampler_crash_window(&self, batch: u64, total: u64) -> bool {
+    fn peer_sampler_crash_window(&self, batch: u64) -> bool {
         let Some(h) = self.cluster.fault_hook() else {
             return false;
         };
         (0..self.sampler_comm.num_ranks()).any(|peer| {
             peer != self.rank
                 && h.worker_crashes(peer, WorkerKind::Sampler, batch)
-                && ((batch + 1)..total).any(|r| h.worker_recovers(peer, WorkerKind::Sampler, r))
+                && ((batch + 1)..self.total)
+                    .any(|r| h.worker_recovers(peer, WorkerKind::Sampler, r))
         })
     }
 
@@ -343,16 +365,64 @@ impl RankCtx {
         }
     }
 
-    /// Charges the policy's exponential backoff before retry `attempt`
-    /// of `batch`, with deterministic per-(rank, batch, attempt) jitter
-    /// so peers that fail together do not retry in lockstep.
-    fn backoff(&self, clock: &mut Clock, batch: u64, attempt: u32) {
-        let t = clock.now()
-            + self
-                .sup
-                .policy
-                .jittered_backoff(self.seed, self.rank, batch, attempt);
-        clock.wait_until(t);
+    /// The one retry rule of every supervised stage call: a timeout may
+    /// be transient and is retried (see [`Self::retry_or_give_up`]);
+    /// any other failure — or any failure once the epoch is doomed —
+    /// returns at once. Loader, exchange and trainer peers have no
+    /// degradation path: their state lives on the peers. (A *lost cache
+    /// shard* is handled below this level: the loader's lookups miss
+    /// and fall back to UVA cold fetches.) `worker` is the stage a
+    /// failure is attributed to.
+    fn retry_timeouts<T>(
+        &self,
+        clock: &mut Clock,
+        worker: WorkerKind,
+        batch: u64,
+        mut attempt: impl FnMut(&mut Clock) -> Result<T, CommError>,
+    ) -> Result<T, DspError> {
+        let mut attempts = 0u32;
+        loop {
+            match attempt(clock) {
+                Ok(v) => return Ok(v),
+                Err(e) if e.is_timeout() && !self.doomed() => {
+                    self.retry_or_give_up(clock, worker, batch, &mut attempts, e)?
+                }
+                Err(e) => return Err(DspError::Comm(e)),
+            }
+        }
+    }
+
+    /// Counts one more failed attempt at `batch`. Past the policy's
+    /// budget that is [`DspError::RetriesExhausted`]; otherwise the
+    /// retry is recorded and its exponential backoff charged, with
+    /// deterministic per-(rank, batch, attempt) jitter so peers that
+    /// fail together do not retry in lockstep.
+    fn retry_or_give_up(
+        &self,
+        clock: &mut Clock,
+        worker: WorkerKind,
+        batch: u64,
+        attempts: &mut u32,
+        last: CommError,
+    ) -> Result<(), DspError> {
+        *attempts += 1;
+        if *attempts > self.sup.policy.max_retries {
+            return Err(DspError::RetriesExhausted {
+                rank: self.rank,
+                worker,
+                batch,
+                attempts: *attempts,
+                last,
+            });
+        }
+        self.sup.record_retry(self.rank, batch);
+        ds_trace::instant(clock.now(), "retry", batch);
+        let backoff = self
+            .sup
+            .policy
+            .jittered_backoff(self.seed, self.rank, batch, *attempts);
+        clock.wait_until(clock.now() + backoff);
+        Ok(())
     }
 
     /// Restores the `due` samplers to the collective group. Runs on
@@ -454,13 +524,12 @@ impl RankCtx {
         &self,
         trainer: &Trainer,
         clock: &Clock,
-        base: u64,
         batch: u64,
     ) -> Result<(), DspError> {
         let Some(ck) = &self.ckpt else {
             return Ok(());
         };
-        let done = base + batch + 1;
+        let done = self.base + batch + 1;
         if self.rank != 0 || done % ck.every != 0 {
             return Ok(());
         }
@@ -530,146 +599,143 @@ fn supervised_sample(
                 if !e.is_timeout() {
                     ctx.degrade_sampler(sampler);
                 }
-                attempts += 1;
-                if attempts > ctx.sup.policy.max_retries {
-                    return Err(DspError::RetriesExhausted {
-                        rank: ctx.rank,
-                        worker: WorkerKind::Sampler,
-                        batch,
-                        attempts,
-                        last: e,
-                    });
-                }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
+                ctx.retry_or_give_up(clock, WorkerKind::Sampler, batch, &mut attempts, e)?;
             }
         }
     }
 }
 
-/// Supervised feature load. Features live on the peers, so a dead
-/// loader peer has no degradation path — only timeouts are retried.
-/// (A *lost cache shard* is handled below this level: the loader's
-/// lookups miss and fall back to UVA cold fetches.)
-fn supervised_load(
+// ---------------------------------------------------------------------
+// The three stages of one batch, each written once: both executors below
+// (overlapped threads, or one inline loop) call exactly these.
+// ---------------------------------------------------------------------
+
+/// Sample stage of batch `b`: scheduled rejoins land before this
+/// batch's own collective (the group is restored between rounds, and
+/// `crashed` — the crash edge detector — re-arms so a flapping peer can
+/// die again later); then the injected stall, this rank's planned crash,
+/// a peer's planned crash window, the heartbeat and the supervised
+/// sample.
+fn sample_stage(
+    sampler: &mut CspSampler,
+    clock: &mut Clock,
+    seeds: &[NodeId],
+    b: u64,
+    crashed: &mut bool,
+    ctx: &RankCtx,
+) -> Result<GraphSample, DspError> {
+    if ctx.sampler_recoveries(sampler, clock, b) {
+        *crashed = false;
+    }
+    ctx.stall(clock, WorkerKind::Sampler, b);
+    if !*crashed && ctx.crashes(WorkerKind::Sampler, b) {
+        // The sampler dies; the supervisor stands up a degraded
+        // replacement on this rank and tells the peers, who degrade too
+        // and retry their in-flight batch (bit-identical by RNG keying).
+        *crashed = true;
+        ds_trace::instant(clock.now(), "crash", b);
+        ctx.declare_dead(WorkerKind::Sampler, b);
+        ctx.degrade_sampler(sampler);
+    }
+    if ctx.peer_sampler_crash_window(b) {
+        // A peer dies here but is scheduled back: leave the collective
+        // group at the same batch it does, so both sides skip the same
+        // rounds and the pairing survives the rejoin.
+        ctx.degrade_sampler(sampler);
+    }
+    ctx.sup
+        .heartbeat(ctx.rank, WorkerKind::Sampler, b, clock.now());
+    ds_trace::span_begin_arg(clock.now(), "sample", b);
+    let sample = supervised_sample(sampler, clock, seeds, b, ctx)?;
+    ds_trace::span_end(clock.now());
+    Ok(sample)
+}
+
+/// Load stage of batch `b`. The prefetch window (if a prefetcher
+/// runs) is popped after the heartbeat and the rebuild status: the pop
+/// advances the loader's clock. A dead prefetcher or a misaligned
+/// window is never fatal — `None` sends every cold row over the demand
+/// UVA path, as without prefetching.
+fn load_stage(
     loader: &mut DspLoader,
+    exchange: Option<&SplitExchange>,
     clock: &mut Clock,
-    nodes: &[NodeId],
-    window: Option<&PrefetchedWindow>,
-    batch: u64,
+    sample: GraphSample,
+    prefetched: Option<&mut QueueConsumer<PrefetchedWindow>>,
+    b: u64,
     ctx: &RankCtx,
-) -> Result<Matrix, DspError> {
-    let mut attempts = 0u32;
-    loop {
-        match loader.try_load_windowed(clock, nodes, window, batch) {
-            Ok(feats) => return Ok(feats),
-            Err(e @ CommError::Timeout(_)) if !ctx.doomed() => {
-                attempts += 1;
-                if attempts > ctx.sup.policy.max_retries {
-                    return Err(DspError::RetriesExhausted {
-                        rank: ctx.rank,
-                        worker: WorkerKind::Loader,
-                        batch,
-                        attempts,
-                        last: e,
-                    });
-                }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
-            }
-            Err(e) => return Err(DspError::Comm(e)),
+) -> Result<Loaded, DspError> {
+    ctx.enter(clock, WorkerKind::Loader, b)?;
+    ctx.track_rebuild(loader, clock, b);
+    let window = prefetched
+        .and_then(|rx| rx.pop(clock))
+        .filter(|w| w.batch() == ctx.base + b);
+    let loaded = match exchange {
+        // Split mode: load only this rank's dst rows, then run the
+        // partial-aggregate exchange for the innermost convolution.
+        // Load first on every rank so the loader and exchange groups
+        // interleave their launches in the same order everywhere (CCC's
+        // launch-order invariant). The exchange mutates no trainer
+        // state, so a replayed round recomputes the same partial sums;
+        // its failures are the loader's, the stage a wedged exchange
+        // stalls.
+        Some(ex) => {
+            let block = sample.layers.last().expect("sample has layers");
+            ds_trace::span_begin_arg(clock.now(), "load", b);
+            let feats = ctx.retry_timeouts(clock, WorkerKind::Loader, b, |c| {
+                loader.try_load_windowed(c, &block.dst, None, b)
+            })?;
+            ds_trace::span_end(clock.now());
+            ds_trace::span_begin_arg(clock.now(), "exchange", b);
+            let agg = ctx.retry_timeouts(clock, WorkerKind::Loader, b, |c| {
+                ex.try_exchange(c, block, &feats)
+            })?;
+            ds_trace::span_end(clock.now());
+            (sample, feats, Some(agg))
         }
+        None => {
+            ds_trace::span_begin_arg(clock.now(), "load", b);
+            let feats = ctx.retry_timeouts(clock, WorkerKind::Loader, b, |c| {
+                loader.try_load_windowed(c, sample.input_nodes(), window.as_ref(), b)
+            })?;
+            ds_trace::span_end(clock.now());
+            (sample, feats, None)
+        }
+    };
+    if loader.take_window_dropped() {
+        ctx.sup.record_dropped_window(ctx.rank, ctx.base + b);
     }
+    Ok(loaded)
 }
 
-/// Supervised partial-aggregate exchange (split mode, loader stage).
-/// The exchange is a pair of all-to-alls, so like the loader's own
-/// collectives only timeouts are retried; the retry is safe because the
-/// exchange mutates no trainer state — a replayed round recomputes the
-/// same partial sums. Failures are attributed to the loader worker:
-/// that is the pipeline stage a wedged exchange actually stalls.
-fn supervised_exchange(
-    exchange: &SplitExchange,
-    clock: &mut Clock,
-    block: &SampleLayer,
-    dst_feats: &Matrix,
-    batch: u64,
-    ctx: &RankCtx,
-) -> Result<Matrix, DspError> {
-    let mut attempts = 0u32;
-    loop {
-        match exchange.try_exchange(clock, block, dst_feats) {
-            Ok(agg) => return Ok(agg),
-            Err(e @ CommError::Timeout(_)) if !ctx.doomed() => {
-                attempts += 1;
-                if attempts > ctx.sup.policy.max_retries {
-                    return Err(DspError::RetriesExhausted {
-                        rank: ctx.rank,
-                        worker: WorkerKind::Loader,
-                        batch,
-                        attempts,
-                        last: e,
-                    });
-                }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
-            }
-            Err(e) => return Err(DspError::Comm(e)),
-        }
-    }
-}
-
-/// Supervised training step. The gradient allreduce fails *before* the
+/// Train stage of batch `b`. The gradient allreduce fails *before* the
 /// optimizer step, so a retried batch never double-applies gradients.
-/// BSP lockstep cannot survive a dead trainer peer, so only timeouts
-/// are retried. `agg` carries split mode's pre-combined innermost
-/// aggregate; `None` selects the data-parallel path.
-fn supervised_train(
+/// Once the step is done BSP has left every replica equal — the only
+/// safe snapshot boundary — and the feature matrix goes back to the
+/// loader's free list.
+fn train_stage(
     trainer: &mut Trainer,
+    buffers: &FeatureBuffers,
     clock: &mut Clock,
-    sample: &GraphSample,
-    feats: &Matrix,
-    agg: Option<&Matrix>,
-    batch: u64,
+    (sample, feats, agg): Loaded,
+    b: u64,
+    metrics: &mut MetricAccumulator,
     ctx: &RankCtx,
-) -> Result<ds_gnn::BatchResult, DspError> {
-    let mut attempts = 0u32;
-    loop {
-        let r = match (ctx.exec, agg) {
-            (true, Some(agg)) => {
-                let lab: Vec<u32> = sample.seeds.iter().map(|&v| ctx.labels.get(v)).collect();
-                trainer.try_train_batch_split(clock, sample, feats, agg, &lab)
-            }
-            (true, None) => {
-                let lab: Vec<u32> = sample.seeds.iter().map(|&v| ctx.labels.get(v)).collect();
-                trainer.try_train_batch(clock, sample, feats, &lab)
-            }
-            (false, Some(_)) => trainer.try_train_batch_timing_only_split(clock, sample),
-            (false, None) => trainer.try_train_batch_timing_only(clock, sample),
-        };
-        match r {
-            Ok(result) => return Ok(result),
-            Err(e @ CommError::Timeout(_)) if !ctx.doomed() => {
-                attempts += 1;
-                if attempts > ctx.sup.policy.max_retries {
-                    return Err(DspError::RetriesExhausted {
-                        rank: ctx.rank,
-                        worker: WorkerKind::Trainer,
-                        batch,
-                        attempts,
-                        last: e,
-                    });
-                }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
-            }
-            Err(e) => return Err(DspError::Comm(e)),
-        }
-    }
+) -> Result<(), DspError> {
+    ctx.enter(clock, WorkerKind::Trainer, b)?;
+    let labels = || -> Vec<u32> { sample.seeds.iter().map(|&v| ctx.labels.get(v)).collect() };
+    ds_trace::span_begin_arg(clock.now(), "train", b);
+    let r = ctx.retry_timeouts(clock, WorkerKind::Trainer, b, |c| match (ctx.exec, &agg) {
+        (true, Some(agg)) => trainer.try_train_batch_split(c, &sample, &feats, agg, &labels()),
+        (true, None) => trainer.try_train_batch(c, &sample, &feats, &labels()),
+        (false, Some(_)) => trainer.try_train_batch_timing_only_split(c, &sample),
+        (false, None) => trainer.try_train_batch_timing_only(c, &sample),
+    })?;
+    ds_trace::span_end(clock.now());
+    ctx.maybe_checkpoint(trainer, clock, b)?;
+    buffers.give_back(feats);
+    metrics.add(r.loss, r.accuracy, r.seeds);
+    Ok(())
 }
 
 /// Ranks errors by how much they explain: a crash is the root cause, an
@@ -684,6 +750,40 @@ fn pick_error(errs: Vec<DspError>) -> Option<DspError> {
     })
 }
 
+/// One overlapped worker: its own thread, trace lane, clock and seat,
+/// calling `step` for batch 0, 1, … until it reports that its stream
+/// ended (schedule done, upstream queue drained, or downstream gone).
+/// The seat is kept only when the worker ran all `ctx.total` batches.
+fn spawn_worker<'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    ctx: &'scope RankCtx,
+    worker: WorkerKind,
+    mut step: impl FnMut(&mut Clock, u64) -> Result<bool, DspError> + Send + 'scope,
+) -> ScopedJoinHandle<'scope, Result<Clock, DspError>> {
+    let (tid, name) = match worker {
+        WorkerKind::Sampler => (ds_trace::TID_SAMPLER, "sampler"),
+        WorkerKind::Loader => (ds_trace::TID_LOADER, "loader"),
+        WorkerKind::Trainer => (ds_trace::TID_TRAINER, "trainer"),
+    };
+    ds_exec::spawn_scoped_named(s, format!("dev-{}-{name}", ctx.rank), move || {
+        let _trace = ds_trace::worker(ctx.rank as u32, tid);
+        let mut clock = Clock::new();
+        let mut seat = ctx.seat(worker);
+        ds_trace::span_begin(clock.now(), name);
+        let mut b = 0;
+        while step(&mut clock, b)? {
+            b += 1;
+        }
+        if b == ctx.total {
+            seat.done();
+        }
+        ds_trace::span_end(clock.now());
+        Ok(clock)
+    })
+}
+
+/// DSP: the three stages overlapped, one thread each (plus the
+/// epoch-ahead prefetcher), connected by bounded virtual-time queues.
 fn run_rank_pipelined(
     state: &mut RankState,
     batches: &[Vec<NodeId>],
@@ -699,41 +799,30 @@ fn run_rank_pipelined(
         exchange,
     } = state;
     let exchange = exchange.as_ref();
-    let (mut sample_tx, mut sample_rx) = virtual_queue_labeled::<GraphSample>(cap, "q.sample");
-    // Split mode's loader stage also carries the combined innermost
-    // aggregate to the trainer (`None` under data-parallel).
-    let (mut feat_tx, mut feat_rx) =
-        virtual_queue_labeled::<(GraphSample, Matrix, Option<Matrix>)>(cap, "q.feat");
-    // Global batch index of this epoch's first batch: the prefetcher
-    // keys its shadow replay on it, and the loader uses it to check
-    // that a staged window really is for the batch in hand.
-    let base = sampler.next_batch_index();
-    let total = batches.len() as u64;
-    let run_pf = prefetcher.is_some() && pf_window > 0;
-    // The trainer hands each batch's feature matrix back to the
-    // loader's free list once its optimizer step is done.
     let buffers = loader.feature_buffers();
-    let (pf_tx, pf_rx) = if run_pf {
-        let (tx, rx) = virtual_queue_labeled::<PrefetchedWindow>(pf_window, "q.prefetch");
-        (Some(tx), Some(rx))
-    } else {
-        (None, None)
+    let (mut sample_tx, mut sample_rx) = virtual_queue_labeled::<GraphSample>(cap, "q.sample");
+    let (mut feat_tx, mut feat_rx) = virtual_queue_labeled::<Loaded>(cap, "q.feat");
+    let (pf_tx, mut pf_rx) = match prefetcher.as_ref() {
+        Some(pf) if pf_window > 0 => {
+            let (tx, rx) = virtual_queue_labeled::<PrefetchedWindow>(pf_window, "q.prefetch");
+            (Some((pf, tx)), Some(rx))
+        }
+        _ => (None, None),
     };
-    let mut pf_rx = pf_rx;
-    let rank = ctx.rank as u32;
-    std::thread::scope(|s| {
-        let prefetch_thread = pf_tx.map(|mut pf_tx| {
-            let pf = prefetcher
-                .as_ref()
-                .expect("prefetcher present when queue is");
-            ds_exec::spawn_scoped_named(s, format!("dev-{rank}-prefetch"), move || -> Clock {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_PREFETCH);
+    // The trainer folds through a reference: a `move` of the `Copy`
+    // accumulator itself would fold into a copy.
+    let mut metrics = MetricAccumulator::default();
+    let trained = &mut metrics;
+    let (clocks, pf_clock) = std::thread::scope(|s| {
+        let prefetch_thread = pf_tx.map(|(pf, mut pf_tx)| {
+            let name = format!("dev-{}-prefetch", ctx.rank);
+            ds_exec::spawn_scoped_named(s, name, move || -> Clock {
+                let _trace = ds_trace::worker(ctx.rank as u32, ds_trace::TID_PREFETCH);
                 let mut clock = Clock::new();
                 ds_trace::span_begin(clock.now(), "prefetcher");
                 // The same seed schedule the sampler consumes, a
                 // bounded `pf_window` batches ahead.
-                for (i, seeds) in batches.iter().enumerate() {
-                    let b = base + i as u64;
+                for (b, seeds) in (ctx.base..).zip(batches) {
                     ds_trace::span_begin_arg(clock.now(), "prefetch", b);
                     let w = pf.fetch_window(&mut clock, b, seeds);
                     ds_trace::span_end(clock.now());
@@ -746,222 +835,64 @@ fn run_rank_pipelined(
                 clock
             })
         });
-        let sampler_thread = ds_exec::spawn_scoped_named(
-            s,
-            format!("dev-{rank}-sampler"),
-            move || -> Result<Clock, DspError> {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_SAMPLER);
-                let mut clock = Clock::new();
-                let mut seat = ctx.seat(WorkerKind::Sampler);
-                ds_trace::span_begin(clock.now(), "sampler");
-                let mut crashed = false;
-                let mut batch = 0usize;
-                while batch < batches.len() {
-                    let b = batch as u64;
-                    // Scheduled rejoins land before this batch's own
-                    // collective: the group is restored between rounds
-                    // and the crash edge detector re-arms so a flapping
-                    // peer can die again at a later batch.
-                    if ctx.sampler_recoveries(sampler, &clock, b) {
-                        crashed = false;
-                    }
-                    ctx.stall(&mut clock, WorkerKind::Sampler, b);
-                    if !crashed && ctx.crashes(WorkerKind::Sampler, b) {
-                        // The sampler dies; the supervisor stands up a
-                        // degraded replacement on this rank and tells the
-                        // peers, who degrade too and retry their in-flight
-                        // batch (bit-identical by RNG keying).
-                        crashed = true;
-                        ds_trace::instant(clock.now(), "crash", b);
-                        ctx.declare_dead(WorkerKind::Sampler, b);
-                        ctx.degrade_sampler(sampler);
-                    }
-                    if ctx.peer_sampler_crash_window(b, batches.len() as u64) {
-                        // A peer dies here but is scheduled back: leave
-                        // the collective group at the same batch it
-                        // does, so both sides skip the same rounds and
-                        // the pairing survives the rejoin.
-                        ctx.degrade_sampler(sampler);
-                    }
-                    ctx.sup
-                        .heartbeat(ctx.rank, WorkerKind::Sampler, b, clock.now());
-                    ds_trace::span_begin_arg(clock.now(), "sample", b);
-                    let sample = supervised_sample(sampler, &mut clock, &batches[batch], b, ctx)?;
-                    ds_trace::span_end(clock.now());
-                    if sample_tx.push(&mut clock, sample).is_err() {
-                        // Downstream died; its own error is the story.
-                        break;
-                    }
-                    batch += 1;
-                }
-                if batch == batches.len() {
-                    seat.done();
-                }
-                ds_trace::span_end(clock.now());
-                Ok(clock)
-            },
-        );
-        let loader_thread = ds_exec::spawn_scoped_named(
-            s,
-            format!("dev-{rank}-loader"),
-            move || -> Result<Clock, DspError> {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_LOADER);
-                let mut clock = Clock::new();
-                let mut seat = ctx.seat(WorkerKind::Loader);
-                ds_trace::span_begin(clock.now(), "loader");
-                let mut b = 0u64;
-                while let Some(sample) = sample_rx.pop(&mut clock) {
-                    ctx.stall(&mut clock, WorkerKind::Loader, b);
-                    if ctx.crashes(WorkerKind::Loader, b) {
-                        ds_trace::instant(clock.now(), "crash", b);
-                        ctx.declare_dead(WorkerKind::Loader, b);
-                        return Err(DspError::WorkerCrashed {
-                            rank: ctx.rank,
-                            worker: WorkerKind::Loader,
-                            batch: b,
-                        });
-                    }
-                    ctx.sup
-                        .heartbeat(ctx.rank, WorkerKind::Loader, b, clock.now());
-                    ctx.track_rebuild(loader, &clock, b);
-                    // A dead prefetcher (or a misaligned window) is never
-                    // fatal: `None` simply means every cold row goes over
-                    // the demand UVA path, as without prefetching.
-                    let window = pf_rx
-                        .as_mut()
-                        .and_then(|rx| rx.pop(&mut clock))
-                        .filter(|w| w.batch() == base + b);
-                    let (feats, agg) = if let Some(ex) = exchange {
-                        // Split mode: load only this rank's dst rows,
-                        // then run the partial-aggregate exchange for
-                        // the innermost convolution. Load first on
-                        // every rank so the loader and exchange groups
-                        // interleave their launches in the same order
-                        // everywhere (CCC's launch-order invariant).
-                        let block = sample.layers.last().expect("sample has layers");
-                        ds_trace::span_begin_arg(clock.now(), "load", b);
-                        let feats = supervised_load(loader, &mut clock, &block.dst, None, b, ctx)?;
-                        ds_trace::span_end(clock.now());
-                        ds_trace::span_begin_arg(clock.now(), "exchange", b);
-                        let agg = supervised_exchange(ex, &mut clock, block, &feats, b, ctx)?;
-                        ds_trace::span_end(clock.now());
-                        (feats, Some(agg))
-                    } else {
-                        ds_trace::span_begin_arg(clock.now(), "load", b);
-                        let feats = supervised_load(
-                            loader,
-                            &mut clock,
-                            sample.input_nodes(),
-                            window.as_ref(),
-                            b,
-                            ctx,
-                        )?;
-                        ds_trace::span_end(clock.now());
-                        (feats, None)
-                    };
-                    if loader.take_window_dropped() {
-                        ctx.sup.record_dropped_window(ctx.rank, base + b);
-                    }
-                    if feat_tx.push(&mut clock, (sample, feats, agg)).is_err() {
-                        break;
-                    }
-                    b += 1;
-                }
-                if b == total {
-                    seat.done();
-                }
-                ds_trace::span_end(clock.now());
-                Ok(clock)
-            },
-        );
-        let trainer_thread = ds_exec::spawn_scoped_named(
-            s,
-            format!("dev-{rank}-trainer"),
-            move || -> Result<(Clock, MetricAccumulator), DspError> {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_TRAINER);
-                let mut clock = Clock::new();
-                let mut seat = ctx.seat(WorkerKind::Trainer);
-                ds_trace::span_begin(clock.now(), "trainer");
-                let mut metrics = MetricAccumulator::default();
-                let mut b = 0u64;
-                while let Some((sample, feats, agg)) = feat_rx.pop(&mut clock) {
-                    ctx.stall(&mut clock, WorkerKind::Trainer, b);
-                    if ctx.crashes(WorkerKind::Trainer, b) {
-                        ds_trace::instant(clock.now(), "crash", b);
-                        ctx.declare_dead(WorkerKind::Trainer, b);
-                        return Err(DspError::WorkerCrashed {
-                            rank: ctx.rank,
-                            worker: WorkerKind::Trainer,
-                            batch: b,
-                        });
-                    }
-                    ctx.sup
-                        .heartbeat(ctx.rank, WorkerKind::Trainer, b, clock.now());
-                    ds_trace::span_begin_arg(clock.now(), "train", b);
-                    let r = supervised_train(
-                        trainer,
-                        &mut clock,
-                        &sample,
-                        &feats,
-                        agg.as_ref(),
-                        b,
-                        ctx,
-                    )?;
-                    ds_trace::span_end(clock.now());
-                    // The optimizer step for global batch base+b is
-                    // done and BSP left every replica equal: the only
-                    // safe snapshot boundary.
-                    ctx.maybe_checkpoint(trainer, &clock, base, b)?;
-                    buffers.give_back(feats);
-                    metrics.add(r.loss, r.accuracy, r.seeds);
-                    b += 1;
-                }
-                if b == total {
-                    seat.done();
-                }
-                ds_trace::span_end(clock.now());
-                Ok((clock, metrics))
-            },
-        );
-        let r1 = sampler_thread.join().expect("sampler worker panicked");
-        let r2 = loader_thread.join().expect("loader worker panicked");
-        let r3 = trainer_thread.join().expect("trainer worker panicked");
-        let c4 = prefetch_thread.map(|t| t.join().expect("prefetch worker panicked"));
+        let mut crashed = false;
+        let sampler_thread = spawn_worker(s, ctx, WorkerKind::Sampler, move |clock, b| {
+            let Some(seeds) = batches.get(b as usize) else {
+                return Ok(false);
+            };
+            let sample = sample_stage(sampler, clock, seeds, b, &mut crashed, ctx)?;
+            // A failed push means downstream died; its own error is the story.
+            Ok(sample_tx.push(clock, sample).is_ok())
+        });
+        let loader_thread = spawn_worker(s, ctx, WorkerKind::Loader, move |clock, b| {
+            let Some(sample) = sample_rx.pop(clock) else {
+                return Ok(false);
+            };
+            let loaded = load_stage(loader, exchange, clock, sample, pf_rx.as_mut(), b, ctx)?;
+            Ok(feat_tx.push(clock, loaded).is_ok())
+        });
+        let trainer_thread = spawn_worker(s, ctx, WorkerKind::Trainer, move |clock, b| {
+            let Some(loaded) = feat_rx.pop(clock) else {
+                return Ok(false);
+            };
+            train_stage(trainer, &buffers, clock, loaded, b, trained, ctx)?;
+            Ok(true)
+        });
+        let results = [sampler_thread, loader_thread, trainer_thread]
+            .map(|t| t.join().expect("rank worker panicked"));
+        let pf_clock = prefetch_thread.map(|t| t.join().expect("prefetch worker panicked"));
         let mut errs = Vec::new();
-        let mut keep = |e: DspError| errs.push(e);
-        let c1 = r1.map_err(&mut keep).ok();
-        let c2 = r2.map_err(&mut keep).ok();
-        let c3m = r3.map_err(&mut keep).ok();
-        if let Some(e) = pick_error(errs) {
-            return Err(e);
+        let clocks: Vec<Clock> = results
+            .into_iter()
+            .filter_map(|r| r.map_err(|e| errs.push(e)).ok())
+            .collect();
+        match pick_error(errs) {
+            Some(e) => Err(e),
+            None => Ok((clocks, pf_clock)),
         }
-        let (c1, c2, (c3, metrics)) = (c1.unwrap(), c2.unwrap(), c3m.unwrap());
-        // Overlapped workers still share the device's serial resources
-        // (SMs for GEMM, HBM, the PCIe and NVLink links): the pipeline
-        // cannot compress below the busiest single resource. Only the
-        // overhead-bound "light" kernels overlap freely (Fig. 2's
-        // observation is exactly that those can't fill the device).
-        // The prefetcher's UVA pulls ride the same PCIe link, so its
-        // clock joins the floor: prefetching moves bytes off the
-        // critical path, it does not create bandwidth.
-        let mut clocks: Vec<&Clock> = vec![&c1, &c2, &c3];
-        if let Some(c4) = c4.as_ref() {
-            clocks.push(c4);
-        }
-        let floor = Clock::resource_floor(&clocks);
-        let pf_useful = c4.as_ref().map_or(0.0, |c| c.device_useful());
-        let pf_now = c4.as_ref().map_or(0.0, |c| c.now());
-        Ok(RankEpoch {
-            sample_busy: c1.busy(),
-            load_busy: c2.busy(),
-            train_busy: c3.busy(),
-            useful: c1.device_useful() + c2.device_useful() + c3.device_useful() + pf_useful,
-            makespan: c1.now().max(c2.now()).max(c3.now()).max(pf_now).max(floor),
-            metrics,
-        })
+    })?;
+    // Overlapped workers still share the device's serial resources (SMs
+    // for GEMM, HBM, the PCIe and NVLink links): the pipeline cannot
+    // compress below the busiest single resource. Only the
+    // overhead-bound "light" kernels overlap freely (Fig. 2's
+    // observation is exactly that those can't fill the device). The
+    // prefetcher's UVA pulls ride the same PCIe link, so its clock joins
+    // the floor: prefetching moves bytes off the critical path, it does
+    // not create bandwidth.
+    let all: Vec<&Clock> = clocks.iter().chain(&pf_clock).collect();
+    let floor = Clock::resource_floor(&all);
+    Ok(RankEpoch {
+        sample_busy: clocks[0].busy(),
+        load_busy: clocks[1].busy(),
+        train_busy: clocks[2].busy(),
+        useful: all.iter().map(|c| c.device_useful()).sum(),
+        makespan: all.iter().map(|c| c.now()).fold(floor, f64::max),
+        metrics,
     })
 }
 
+/// DSP-Seq: the same three stages back to back on one thread — and
+/// nothing to overlap prefetching with.
 fn run_rank_seq(
     state: &mut RankState,
     batches: &[Vec<NodeId>],
@@ -971,11 +902,11 @@ fn run_rank_seq(
         sampler,
         loader,
         trainer,
-        // DSP-Seq has nothing to overlap prefetching with.
-        prefetcher: _,
         exchange,
+        ..
     } = state;
     let exchange = exchange.as_ref();
+    let buffers = loader.feature_buffers();
     let _trace = ds_trace::worker(ctx.rank as u32, ds_trace::TID_MAIN);
     let mut clock = Clock::new();
     // One thread plays all three workers, so an early return gives up
@@ -985,85 +916,20 @@ fn run_rank_seq(
     ds_trace::span_begin(clock.now(), "rank");
     let mut metrics = MetricAccumulator::default();
     let (mut sb, mut lb, mut tb) = (0.0, 0.0, 0.0);
-    let mut sampler_crashed = false;
-    let base = sampler.next_batch_index();
-    let buffers = loader.feature_buffers();
-    for (batch, seeds) in batches.iter().enumerate() {
-        let b = batch as u64;
-        if ctx.sampler_recoveries(sampler, &clock, b) {
-            sampler_crashed = false;
-        }
-        ctx.stall(&mut clock, WorkerKind::Sampler, b);
-        if !sampler_crashed && ctx.crashes(WorkerKind::Sampler, b) {
-            sampler_crashed = true;
-            ds_trace::instant(clock.now(), "crash", b);
-            ctx.declare_dead(WorkerKind::Sampler, b);
-            ctx.degrade_sampler(sampler);
-        }
-        if ctx.peer_sampler_crash_window(b, batches.len() as u64) {
-            // A peer dies here but is scheduled back: leave the
-            // collective group at the same batch it does, so both sides
-            // skip the same rounds and the pairing survives the rejoin.
-            ctx.degrade_sampler(sampler);
-        }
-        ctx.sup
-            .heartbeat(ctx.rank, WorkerKind::Sampler, b, clock.now());
+    let mut crashed = false;
+    for (b, seeds) in (0..).zip(batches) {
+        // Stalls and waits are not busy time, so each delta is exactly
+        // its stage's work.
         let b0 = clock.busy();
-        ds_trace::span_begin_arg(clock.now(), "sample", b);
-        let sample = supervised_sample(sampler, &mut clock, seeds, b, ctx)?;
-        ds_trace::span_end(clock.now());
+        let sample = sample_stage(sampler, &mut clock, seeds, b, &mut crashed, ctx)?;
         let b1 = clock.busy();
-        ctx.stall(&mut clock, WorkerKind::Loader, b);
-        if ctx.crashes(WorkerKind::Loader, b) {
-            ds_trace::instant(clock.now(), "crash", b);
-            ctx.declare_dead(WorkerKind::Loader, b);
-            return Err(DspError::WorkerCrashed {
-                rank: ctx.rank,
-                worker: WorkerKind::Loader,
-                batch: b,
-            });
-        }
-        ctx.sup
-            .heartbeat(ctx.rank, WorkerKind::Loader, b, clock.now());
-        ctx.track_rebuild(loader, &clock, b);
-        let (feats, agg) = if let Some(ex) = exchange {
-            let block = sample.layers.last().expect("sample has layers");
-            ds_trace::span_begin_arg(clock.now(), "load", b);
-            let feats = supervised_load(loader, &mut clock, &block.dst, None, b, ctx)?;
-            ds_trace::span_end(clock.now());
-            ds_trace::span_begin_arg(clock.now(), "exchange", b);
-            let agg = supervised_exchange(ex, &mut clock, block, &feats, b, ctx)?;
-            ds_trace::span_end(clock.now());
-            (feats, Some(agg))
-        } else {
-            ds_trace::span_begin_arg(clock.now(), "load", b);
-            let feats = supervised_load(loader, &mut clock, sample.input_nodes(), None, b, ctx)?;
-            ds_trace::span_end(clock.now());
-            (feats, None)
-        };
+        let loaded = load_stage(loader, exchange, &mut clock, sample, None, b, ctx)?;
         let b2 = clock.busy();
-        ctx.stall(&mut clock, WorkerKind::Trainer, b);
-        if ctx.crashes(WorkerKind::Trainer, b) {
-            ds_trace::instant(clock.now(), "crash", b);
-            ctx.declare_dead(WorkerKind::Trainer, b);
-            return Err(DspError::WorkerCrashed {
-                rank: ctx.rank,
-                worker: WorkerKind::Trainer,
-                batch: b,
-            });
-        }
-        ctx.sup
-            .heartbeat(ctx.rank, WorkerKind::Trainer, b, clock.now());
-        ds_trace::span_begin_arg(clock.now(), "train", b);
-        let r = supervised_train(trainer, &mut clock, &sample, &feats, agg.as_ref(), b, ctx)?;
-        ds_trace::span_end(clock.now());
-        ctx.maybe_checkpoint(trainer, &clock, base, b)?;
-        buffers.give_back(feats);
+        train_stage(trainer, &buffers, &mut clock, loaded, b, &mut metrics, ctx)?;
         let b3 = clock.busy();
         sb += b1 - b0;
         lb += b2 - b1;
         tb += b3 - b2;
-        metrics.add(r.loss, r.accuracy, r.seeds);
     }
     seats.iter_mut().for_each(Seat::done);
     ds_trace::span_end(clock.now());
@@ -1110,36 +976,23 @@ impl DspSystem {
         // Split mode adds a fourth worker group for the partial-
         // aggregate exchange; it shares the device's kernel slots and
         // CCC coordination with the other three.
-        let (sampler_comm, loader_comm, trainer_comm, exchange_comm) = if pipelined {
-            let slots = Arc::new(DeviceSlots::new(gpus, cfg.slots_per_device));
-            let mk = |id: u32| {
-                Arc::new(
-                    Communicator::with_slots(
-                        id,
-                        Arc::clone(&cluster),
-                        Arc::clone(&slots),
-                        ccc.clone(),
-                    )
-                    .with_config(comm_cfg),
-                )
+        let slots = pipelined.then(|| Arc::new(DeviceSlots::new(gpus, cfg.slots_per_device)));
+        let mk = |id: u32| {
+            let comm = match &slots {
+                Some(slots) => Communicator::with_slots(
+                    id,
+                    Arc::clone(&cluster),
+                    Arc::clone(slots),
+                    ccc.clone(),
+                ),
+                None => Communicator::new(id, Arc::clone(&cluster)),
             };
-            (
-                mk(SAMPLER_WORKER),
-                mk(LOADER_WORKER),
-                mk(TRAINER_WORKER),
-                split.then(|| mk(EXCHANGE_WORKER)),
-            )
-        } else {
-            let mk = |id: u32| {
-                Arc::new(Communicator::new(id, Arc::clone(&cluster)).with_config(comm_cfg))
-            };
-            (
-                mk(SAMPLER_WORKER),
-                mk(LOADER_WORKER),
-                mk(TRAINER_WORKER),
-                split.then(|| mk(EXCHANGE_WORKER)),
-            )
+            Arc::new(comm.with_config(comm_cfg))
         };
+        let sampler_comm = mk(SAMPLER_WORKER);
+        let loader_comm = mk(LOADER_WORKER);
+        let trainer_comm = mk(TRAINER_WORKER);
+        let exchange_comm = split.then(|| mk(EXCHANGE_WORKER));
         let csp_cfg = CspConfig {
             fanout: cfg.fanout.clone(),
             scheme: cfg.scheme,
@@ -1435,6 +1288,8 @@ impl DspSystem {
                 exec: self.cfg.exec_compute,
                 seed: self.cfg.seed,
                 epoch,
+                base: self.ranks[rank].sampler.next_batch_index(),
+                total: batches[rank].len() as u64,
                 labels: Arc::clone(&self.layout.labels),
                 cluster: Arc::clone(&self.layout.cluster),
                 sampler_comm: Arc::clone(&self.sampler_comm),
@@ -1479,32 +1334,11 @@ impl DspSystem {
         if let Some(e) = pick_error(errs) {
             return Err(e);
         }
-        let mut metrics = MetricAccumulator::default();
-        for r in &oks {
-            metrics.merge(&r.metrics);
-        }
-        let (loss, accuracy, seeds) = metrics.finish();
-        let (nvlink, pcie, _) = self.layout.cluster.traffic_totals();
-        let fmax = |f: fn(&RankEpoch) -> f64| oks.iter().map(f).fold(0.0, f64::max);
         let after = self.supervisor.report();
         Ok(EpochStats {
-            epoch_time: fmax(|r| r.makespan),
-            sample_time: fmax(|r| r.sample_busy),
-            load_time: fmax(|r| r.load_busy),
-            train_time: fmax(|r| r.train_busy),
-            utilization: oks
-                .iter()
-                .map(|r| (r.useful / r.makespan.max(1e-12)).min(1.0))
-                .sum::<f64>()
-                / oks.len().max(1) as f64,
-            loss,
-            accuracy,
-            nvlink_bytes: nvlink,
-            pcie_bytes: pcie,
-            num_batches,
-            seeds,
             retried_batches: after.retried.len() - before.retried.len(),
             degraded_ranks: after.degraded.len() - before.degraded.len(),
+            ..EpochStats::fold(&oks, &self.layout.cluster, num_batches)
         })
     }
 }
@@ -1516,31 +1350,8 @@ impl System for DspSystem {
     }
 
     fn run_sampler_epoch(&mut self, epoch: u64) -> f64 {
-        let batches: Vec<Vec<Vec<NodeId>>> = self
-            .layout
-            .schedules
-            .iter()
-            .map(|s| s.epoch_batches(epoch))
-            .collect();
-        let times: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .ranks
-                .iter_mut()
-                .zip(batches)
-                .enumerate()
-                .map(|(rank, (state, rank_batches))| {
-                    ds_exec::spawn_scoped_named(scope, format!("dev-{rank}"), move || {
-                        let mut clock = Clock::new();
-                        for seeds in &rank_batches {
-                            let _ = state.sampler.sample_batch(&mut clock, seeds);
-                        }
-                        clock.now()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        times.into_iter().fold(0.0, f64::max)
+        let samplers = self.ranks.iter_mut().map(|r| &mut r.sampler);
+        sampler_epoch(samplers, &self.layout.schedules, epoch)
     }
 
     fn evaluate_validation(&mut self) -> f64 {
@@ -1624,6 +1435,118 @@ mod tests {
         assert!(ran);
         let rerun = EpochShared::default();
         assert!(!rerun.rejoin_boundary(3, 2, Duration::from_millis(1), || unreachable!()));
+    }
+
+    /// Rank 0 of a bare 2-GPU cluster under `max_retries = 3`: enough
+    /// context for the retry rule, nothing of a real epoch.
+    fn retry_ctx() -> RankCtx {
+        let cluster = Arc::new(ds_simgpu::ClusterSpec::v100(2).build());
+        let comm = |id| Arc::new(Communicator::new(id, Arc::clone(&cluster)));
+        RankCtx {
+            rank: 0,
+            exec: false,
+            seed: 7,
+            epoch: 0,
+            base: 0,
+            total: 4,
+            labels: Arc::new(Labels::from_raw(1, Vec::new())),
+            sampler_comm: comm(SAMPLER_WORKER),
+            loader_comm: comm(LOADER_WORKER),
+            trainer_comm: comm(TRAINER_WORKER),
+            exchange_comm: None,
+            ccc: None,
+            sup: Arc::new(Supervisor::new(RetryPolicy {
+                max_retries: 3,
+                base_backoff: 1e-3,
+            })),
+            shared: Arc::default(),
+            ckpt: None,
+            cluster,
+        }
+    }
+
+    fn timeout() -> CommError {
+        CommError::Timeout(ds_comm::Diagnostics::default())
+    }
+
+    /// Calls `retry_timeouts` at batch 5 with an attempt that fails
+    /// with `fail(i)` on call `i` (from 0) until it returns `None`.
+    /// Returns the outcome, the number of calls and the clock.
+    fn run_retry(
+        ctx: &RankCtx,
+        worker: WorkerKind,
+        fail: impl Fn(u32) -> Option<CommError>,
+    ) -> (Result<u32, DspError>, u32, Clock) {
+        let mut clock = Clock::new();
+        let mut calls = 0;
+        let r = ctx.retry_timeouts(&mut clock, worker, 5, |_| {
+            calls += 1;
+            fail(calls - 1).map_or(Ok(42), Err)
+        });
+        (r, calls, clock)
+    }
+
+    #[test]
+    fn retry_timeouts_retries_up_to_the_budget_with_jittered_backoff() {
+        for k in 0..=3 {
+            let ctx = retry_ctx();
+            let (r, calls, clock) = run_retry(&ctx, WorkerKind::Loader, |i| (i < k).then(timeout));
+            assert_eq!(r.expect("within the budget"), 42);
+            assert_eq!(calls, k + 1);
+            assert_eq!(ctx.sup.report().retried, vec![(0, 5); k as usize]);
+            let mut expected = 0.0;
+            for attempt in 1..=k {
+                expected += ctx.sup.policy.jittered_backoff(7, 0, 5, attempt);
+            }
+            assert_eq!(clock.now(), expected, "{k} timeouts");
+            assert_eq!(clock.busy(), 0.0, "backoff is waiting, not work");
+        }
+    }
+
+    #[test]
+    fn retry_timeouts_gives_up_after_max_retries_plus_one() {
+        let ctx = retry_ctx();
+        let (r, calls, _) = run_retry(&ctx, WorkerKind::Trainer, |_| Some(timeout()));
+        match r {
+            Err(DspError::RetriesExhausted {
+                rank: 0,
+                worker: WorkerKind::Trainer,
+                batch: 5,
+                attempts: 4,
+                last,
+            }) => assert!(last.is_timeout()),
+            other => panic!("expected RetriesExhausted after 4 attempts, got {other:?}"),
+        }
+        assert_eq!(calls, 4);
+        assert_eq!(ctx.sup.report().retried.len(), 3);
+    }
+
+    #[test]
+    fn retry_timeouts_returns_at_once_on_peer_failure_or_a_doomed_epoch() {
+        let peer_failed = || CommError::PeerFailed {
+            rank: 1,
+            diag: ds_comm::Diagnostics::default(),
+        };
+        let doomed = || {
+            let ctx = retry_ctx();
+            ctx.shared.doom();
+            ctx
+        };
+        let cases = [
+            (retry_ctx(), peer_failed()),
+            (doomed(), timeout()),
+            (doomed(), peer_failed()),
+        ];
+        for (ctx, err) in cases {
+            let (r, calls, clock) = run_retry(&ctx, WorkerKind::Loader, |_| Some(err.clone()));
+            assert!(
+                matches!(r, Err(DspError::Comm(ref e)) if *e == err),
+                "{r:?}"
+            );
+            assert_eq!(calls, 1);
+            assert!(ctx.sup.report().is_clean());
+            assert_eq!(clock.now(), 0.0);
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Per-epoch statistics reported by every system.
 
+use ds_simgpu::Cluster;
+
 /// Measurements of one training epoch (all times in *simulated* seconds).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EpochStats {
@@ -36,6 +38,51 @@ impl EpochStats {
     pub fn total_bytes(&self) -> u64 {
         self.nvlink_bytes + self.pcie_bytes
     }
+
+    /// Folds one epoch's per-rank measurements: stage and epoch times
+    /// are the slowest rank's, utilization is the mean over ranks, loss
+    /// and accuracy are seed-weighted, and link bytes are `cluster`'s
+    /// meters since the epoch reset them. The supervision counts are
+    /// left at zero for the caller.
+    pub(crate) fn fold(ranks: &[RankEpoch], cluster: &Cluster, num_batches: usize) -> EpochStats {
+        let mut metrics = MetricAccumulator::default();
+        for r in ranks {
+            metrics.merge(&r.metrics);
+        }
+        let (loss, accuracy, seeds) = metrics.finish();
+        let (nvlink_bytes, pcie_bytes, _) = cluster.traffic_totals();
+        let fmax = |f: fn(&RankEpoch) -> f64| ranks.iter().map(f).fold(0.0, f64::max);
+        EpochStats {
+            epoch_time: fmax(|r| r.makespan),
+            sample_time: fmax(|r| r.sample_busy),
+            load_time: fmax(|r| r.load_busy),
+            train_time: fmax(|r| r.train_busy),
+            utilization: ranks
+                .iter()
+                .map(|r| (r.useful / r.makespan.max(1e-12)).min(1.0))
+                .sum::<f64>()
+                / ranks.len().max(1) as f64,
+            loss,
+            accuracy,
+            nvlink_bytes,
+            pcie_bytes,
+            num_batches,
+            seeds,
+            retried_batches: 0,
+            degraded_ranks: 0,
+        }
+    }
+}
+
+/// One rank's measurement of one epoch (simulated seconds).
+pub(crate) struct RankEpoch {
+    pub(crate) sample_busy: f64,
+    pub(crate) load_busy: f64,
+    pub(crate) train_busy: f64,
+    /// Occupancy-weighted device-useful seconds (Fig. 6's metric).
+    pub(crate) useful: f64,
+    pub(crate) makespan: f64,
+    pub(crate) metrics: MetricAccumulator,
 }
 
 /// Aggregates per-rank (loss·seeds, acc·seeds, seeds) triples.

@@ -4,7 +4,8 @@ use crate::stats::EpochStats;
 use ds_graph::{Csr, Features, Labels, NodeId};
 use ds_sampling::local;
 use ds_sampling::sample::GraphSample;
-use ds_simgpu::Cluster;
+use ds_sampling::{BatchSampler, SeedSchedule};
+use ds_simgpu::{Clock, Cluster};
 use ds_tensor::matrix::Matrix;
 use std::sync::Arc;
 
@@ -28,6 +29,36 @@ pub trait System {
 
     /// The simulated machine (traffic meters etc.).
     fn cluster(&self) -> &Arc<Cluster>;
+}
+
+/// The [`System::run_sampler_epoch`] body every system shares: each
+/// rank's sampler alone, one thread per rank, over its share of
+/// `epoch`. Returns the slowest rank's simulated sampling time.
+pub(crate) fn sampler_epoch<'a, S: BatchSampler + Send + ?Sized + 'a>(
+    samplers: impl Iterator<Item = &'a mut S>,
+    schedules: &[SeedSchedule],
+    epoch: u64,
+) -> f64 {
+    let batches: Vec<Vec<Vec<NodeId>>> = schedules.iter().map(|s| s.epoch_batches(epoch)).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = samplers
+            .zip(batches)
+            .enumerate()
+            .map(|(rank, (sampler, rank_batches))| {
+                ds_exec::spawn_scoped_named(scope, format!("dev-{rank}"), move || {
+                    let mut clock = Clock::new();
+                    for seeds in &rank_batches {
+                        let _ = sampler.sample_batch(&mut clock, seeds);
+                    }
+                    clock.now()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sampler thread panicked"))
+            .fold(0.0, f64::max)
+    })
 }
 
 /// Deterministic local sampling used for *evaluation only* (no timing,

@@ -64,7 +64,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::thread::JoinHandle;
 
-pub(crate) mod sync;
+pub(crate) use ds_check::alias as sync;
 
 /// Lock acquisition that survives poisoning: a panicking task must not
 /// cascade into every other thread touching the pool.

@@ -19,7 +19,7 @@
 pub mod chan;
 pub mod queue;
 pub mod schedule;
-pub(crate) mod sync;
+pub(crate) use ds_check::alias as sync;
 
 pub use queue::{virtual_queue, QueueConsumer, QueueProducer};
 pub use schedule::{MultiWorkerConfig, PipelineSchedule, StageTimes};

@@ -3,32 +3,19 @@
 //! (`batch_max` queued) or the deadline trigger (an external flush
 //! tick) fires — whichever comes first.
 //!
-//! Two layers:
-//!
-//! * [`BatcherCore`] — the pure decision state machine (admit/shed,
-//!   ready/flush/close). The virtual-time serving engine drives it
-//!   directly, which keeps every admission and batch-composition
-//!   decision a function of the arrival trace alone.
-//! * [`MicroBatcher`] — the concurrent wrapper: a mutex + condvar
-//!   handshake between enqueuers, a deadline ticker and the consumer.
-//!   Built on the `crate::sync` alias layer, so the *same* protocol
-//!   runs under `ds-check` schedule exploration (workspace
-//!   `tests/check_models.rs`): no interleaving of a late enqueue with
-//!   a racing flush or shutdown may lose a wake or strand an item.
+//! [`BatcherCore`] is the pure decision state machine (admit/shed,
+//! ready/flush/close). The virtual-time serving engine drives it
+//! directly, which keeps every admission and batch-composition
+//! decision a function of the arrival trace alone.
 
-use crate::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use crate::{ServeError, ShedReason};
+use crate::ShedReason;
 use std::collections::VecDeque;
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Outcome of offering one item to the batcher.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Offer<T> {
     /// Queued; `ready` says a batch can be taken right now (the size
-    /// trigger fired) — the concurrent wrapper turns it into a wake.
+    /// trigger fired).
     Admitted {
         /// A full batch is now available.
         ready: bool,
@@ -42,9 +29,8 @@ pub enum Offer<T> {
     },
 }
 
-/// The pure micro-batching state machine. Not thread-safe on its own —
-/// the engine owns one outright; [`MicroBatcher`] owns one under a
-/// mutex.
+/// The pure micro-batching state machine. Not thread-safe — the engine
+/// owns one outright.
 pub struct BatcherCore<T> {
     pending: VecDeque<T>,
     batch_max: usize,
@@ -152,84 +138,6 @@ impl<T> BatcherCore<T> {
     }
 }
 
-/// The concurrent front end over [`BatcherCore`]: enqueuers, a
-/// deadline ticker and one (or more) consumers meet under a single
-/// lock, with a condvar carrying "a batch became takeable" wakes.
-pub struct MicroBatcher<T> {
-    state: Mutex<BatcherCore<T>>,
-    ready: Condvar,
-}
-
-impl<T> MicroBatcher<T> {
-    /// See [`BatcherCore::new`].
-    pub fn new(batch_max: usize, queue_cap: usize) -> Self {
-        MicroBatcher {
-            state: Mutex::new(BatcherCore::new(batch_max, queue_cap)),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Admits one request or sheds it with a typed reason. An enqueue
-    /// that completes a full batch must wake the consumer here — this
-    /// is one of the two wakes whose loss the ds-check model hunts.
-    pub fn enqueue(&self, item: T) -> Result<(), ServeError> {
-        let mut st = lock_unpoisoned(&self.state);
-        match st.offer(item) {
-            Offer::Admitted { ready } => {
-                if ready {
-                    self.ready.notify_one();
-                }
-                Ok(())
-            }
-            Offer::Shed { reason, .. } => Err(ServeError::Shed(reason)),
-        }
-    }
-
-    /// The deadline trigger: flush whatever is queued, even a partial
-    /// batch. A tick against an empty queue is a no-op.
-    pub fn tick(&self) {
-        let mut st = lock_unpoisoned(&self.state);
-        if st.request_flush() {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Stops admission and wakes everyone: queued items drain as final
-    /// batches, late enqueuers observe `ShedReason::Closed`, parked
-    /// consumers see the drain through and then `None`.
-    pub fn shutdown(&self) {
-        let mut st = lock_unpoisoned(&self.state);
-        st.close();
-        self.ready.notify_all();
-    }
-
-    /// Blocks until a batch is takeable; `None` once the batcher is
-    /// shut down *and* drained — the consumer's clean exit.
-    pub fn next_batch(&self) -> Option<Vec<T>> {
-        let mut st = lock_unpoisoned(&self.state);
-        loop {
-            if let Some(batch) = st.take_ready_batch() {
-                return Some(batch);
-            }
-            if st.is_closed() {
-                // Closed and take_ready_batch returned None ⇒ drained.
-                return None;
-            }
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Queued items not yet taken (diagnostics only — racy by nature).
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.state).len()
-    }
-
-    /// Whether nothing is queued right now (diagnostics only).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,51 +204,5 @@ mod tests {
         ));
         assert_eq!(core.take_ready_batch(), Some(vec![1, 2]));
         assert_eq!(core.take_ready_batch(), None);
-    }
-
-    #[test]
-    fn concurrent_batcher_conserves_items() {
-        // Wall-clock smoke test of the handshake (the exhaustive
-        // exploration lives in the workspace check_models suite).
-        let mb = std::sync::Arc::new(MicroBatcher::new(4, 64));
-        let n = 256;
-        std::thread::scope(|s| {
-            let producer = {
-                let mb = std::sync::Arc::clone(&mb);
-                s.spawn(move || {
-                    let mut shed = 0;
-                    for i in 0..n {
-                        if mb.enqueue(i).is_err() {
-                            shed += 1;
-                        }
-                    }
-                    mb.tick();
-                    mb.shutdown();
-                    shed
-                })
-            };
-            let mut got = Vec::new();
-            while let Some(batch) = mb.next_batch() {
-                assert!(batch.len() <= 4);
-                got.extend(batch);
-            }
-            let shed = producer.join().unwrap();
-            assert_eq!(got.len() + shed, n, "every item flushed or shed");
-            let mut sorted = got.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), got.len(), "no item delivered twice");
-        });
-    }
-
-    #[test]
-    fn enqueue_after_shutdown_is_a_typed_shed() {
-        let mb: MicroBatcher<u32> = MicroBatcher::new(2, 4);
-        mb.shutdown();
-        assert!(matches!(
-            mb.enqueue(1),
-            Err(ServeError::Shed(ShedReason::Closed))
-        ));
-        assert_eq!(mb.next_batch(), None);
     }
 }

@@ -7,9 +7,7 @@
 //! function of the arrival trace and the config, so the whole run —
 //! including the produced logits — is bit-reproducible for a given
 //! seed regardless of `DS_PAR_THREADS` (the numeric kernels underneath
-//! are chunk-deterministic on the shared `ds-exec` pool). The
-//! *concurrent* face of the same batching protocol,
-//! [`crate::MicroBatcher`], is verified separately under ds-check.
+//! are chunk-deterministic on the shared `ds-exec` pool).
 //!
 //! Fault handling: when the cluster's `ds-fault` hook reports a
 //! feature shard Lost or Recovering, cached rows owned by that rank

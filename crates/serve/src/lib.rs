@@ -34,9 +34,8 @@ pub mod batcher;
 pub mod engine;
 pub mod report;
 pub mod request;
-mod sync;
 
-pub use batcher::{BatcherCore, MicroBatcher, Offer};
+pub use batcher::{BatcherCore, Offer};
 pub use engine::{Response, ServeConfig, ServeEngine, ServeStats, ShedRecord, SERVE_BATCH_BASE};
 pub use report::{percentile, LoadPoint, ServeReport};
 pub use request::{open_loop_trace, ReqClass, Request};

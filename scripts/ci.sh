@@ -38,9 +38,9 @@ fi
 # Invocable alone as `scripts/ci.sh split`.
 split_stage() {
     rm -f BENCH_split.json target/BENCH_split_repeat.json
-    DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_split
+    DS_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_split
     test -s BENCH_split.json
-    DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_split -- \
+    DS_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_split -- \
         target/BENCH_split_repeat.json
     cmp BENCH_split.json target/BENCH_split_repeat.json
     cargo run -q --release --offline -p ds-bench --bin bench_split_diff -- \
@@ -101,17 +101,18 @@ cargo test -q --offline -p ds-store ckpt
 cargo test -q --offline --test chaos -- rejoin flapping rebuild checkpoint resume
 
 # Check stage: deterministic schedule exploration of the concurrency
-# core. `--features check` swaps pipeline/comm/exec onto the
-# `ds_check::sync` shims; the model suites run bounded-exhaustive DFS
-# plus a fixed-seed PCT budget over the real chan / slots / CCC
-# protocols (tests/check_models.rs) and over the harness's own
-# regression models (crates/check). The existing pipeline/comm suites
-# also rerun on the shimmed build to prove the alias layer is inert
-# outside a model.
+# core. `--features check` swaps every shimmed crate's `crate::sync`
+# (`ds_check::alias`) onto the `ds_check::sync` shims; the model suites
+# run bounded-exhaustive DFS plus a fixed-seed PCT budget over the real
+# chan / slots / CCC protocols (tests/check_models.rs) and over the
+# harness's own regression models (crates/check). Each shimmed crate's
+# own suite (the list lint_sync.sh reads from the manifests) also
+# reruns on the shims to prove the alias is inert outside a model.
 cargo test -q --offline --features check --test check_models
 cargo test -q --offline -p ds-check
-cargo test -q --offline -p ds-pipeline --features check
-cargo test -q --offline -p ds-comm --features check
+for crate in $(scripts/lint_sync.sh --crates); do
+    cargo test -q --offline -p "$crate" --features ds-check/shim
+done
 
 # Trace stage: observability end to end. The traced quickstart must
 # export a well-formed Chrome trace (valid JSON, every B matched by an
@@ -122,7 +123,7 @@ DS_TRACE=1 cargo run -q --release --offline --example quickstart > /dev/null
 cargo run -q --release --offline -p ds-bench --bin trace_check -- \
     results/quickstart_trace.json
 rm -f BENCH_pipeline.json
-DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_pipeline
+DS_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_pipeline
 test -s BENCH_pipeline.json
 # Regression gate: virtual-clock times are deterministic, so the fresh
 # run must sit within 25% of the committed baseline on every stage —
@@ -137,7 +138,7 @@ cargo run -q --release --offline -p ds-bench --bin bench_diff -- \
 # wall-clock columns are machine noise and gate only at a generous
 # factor (the gate catches fast-path cliffs, not percent drift).
 rm -f BENCH_gemm.json
-DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_gemm
+DS_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_gemm
 test -s BENCH_gemm.json
 cargo run -q --release --offline -p ds-bench --bin bench_gemm_diff -- \
     BENCH_gemm.json results/BENCH_gemm_baseline.json

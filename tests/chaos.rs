@@ -40,16 +40,22 @@ fn chaos_cfg() -> TrainConfig {
     }
 }
 
+/// Both executors: DSP's overlapped workers and DSP-Seq's inline loop
+/// run the same stage functions, so every fault scenario that can reach
+/// either runs under both.
+const EXECUTORS: [bool; 2] = [true, false];
+
 /// Losses and replica checksums of `epochs` epochs, plus the final
-/// fault report.
+/// fault report (`pipelined` picks DSP or DSP-Seq).
 fn run_epochs(
     plan: Option<FaultPlan>,
     gpus: usize,
     epochs: u64,
+    pipelined: bool,
 ) -> (Vec<f64>, Vec<f64>, dsp::core::FaultReport, usize) {
     let d = tiny();
     let cfg = chaos_cfg();
-    let mut sys = DspSystem::new(&d, gpus, &cfg, true);
+    let mut sys = DspSystem::new(&d, gpus, &cfg, pipelined);
     if let Some(p) = plan {
         assert!(sys.cluster().install_fault_hook(Arc::new(p)));
     }
@@ -71,10 +77,10 @@ fn run_epochs(
 #[test]
 fn delay_chaos_leaves_the_loss_trajectory_bit_identical() {
     for seed in CHAOS_SEEDS {
-        let (base_loss, base_sums, base_report, _) = run_epochs(None, 2, 2);
+        let (base_loss, base_sums, base_report, _) = run_epochs(None, 2, 2, true);
         assert!(base_report.is_clean());
         let plan = FaultPlan::new(seed).chaos(2, 6);
-        let (loss, sums, report, _) = run_epochs(Some(plan), 2, 2);
+        let (loss, sums, report, _) = run_epochs(Some(plan), 2, 2, true);
         // Delay-class faults shift timing, never data: exact equality.
         assert_eq!(base_loss, loss, "seed {seed}: loss trajectory diverged");
         assert_eq!(base_sums, sums, "seed {seed}: replicas diverged");
@@ -85,31 +91,35 @@ fn delay_chaos_leaves_the_loss_trajectory_bit_identical() {
 #[test]
 fn sampler_crash_degrades_and_the_epoch_completes() {
     let gpus = 3;
-    let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2);
-    for seed in CHAOS_SEEDS {
-        let plan = FaultPlan::new(seed).crash(1, WorkerKind::Sampler, 2);
-        let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 2);
-        // The crash is absorbed: every rank degrades to local pull-path
-        // sampling, survivors retry the in-flight batch, and because the
-        // sampling RNG is keyed on (seed, batch, layer, node) the
-        // retried/degraded samples are bit-identical — so is the loss.
-        assert_eq!(base_loss, loss, "seed {seed}: degraded run diverged");
-        assert_eq!(base_sums, sums, "seed {seed}: replicas diverged");
-        assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 2)]);
-        assert_eq!(report.degraded, vec![0, 1, 2]);
-        assert!(
-            retried >= gpus - 1,
-            "each survivor retries its in-flight batch, got {retried}"
-        );
-        assert_eq!(report.retried.len(), retried);
+    for pipelined in EXECUTORS {
+        let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2, pipelined);
+        for seed in CHAOS_SEEDS {
+            let plan = FaultPlan::new(seed).crash(1, WorkerKind::Sampler, 2);
+            let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 2, pipelined);
+            // The crash is absorbed: every rank degrades to local
+            // pull-path sampling, survivors retry the in-flight batch,
+            // and because the sampling RNG is keyed on (seed, batch,
+            // layer, node) the retried/degraded samples are
+            // bit-identical — so is the loss.
+            let tag = format!("seed {seed}, pipelined {pipelined}");
+            assert_eq!(base_loss, loss, "{tag}: degraded run diverged");
+            assert_eq!(base_sums, sums, "{tag}: replicas diverged");
+            assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 2)]);
+            assert_eq!(report.degraded, vec![0, 1, 2]);
+            assert!(
+                retried >= gpus - 1,
+                "{tag}: each survivor retries its in-flight batch, got {retried}"
+            );
+            assert_eq!(report.retried.len(), retried);
+        }
     }
 }
 
 #[test]
 fn same_seed_crash_runs_are_identical() {
     let plan = || FaultPlan::new(CHAOS_SEEDS[0]).crash(0, WorkerKind::Sampler, 1);
-    let (loss_a, sums_a, report_a, retried_a) = run_epochs(Some(plan()), 2, 2);
-    let (loss_b, sums_b, report_b, retried_b) = run_epochs(Some(plan()), 2, 2);
+    let (loss_a, sums_a, report_a, retried_a) = run_epochs(Some(plan()), 2, 2, true);
+    let (loss_b, sums_b, report_b, retried_b) = run_epochs(Some(plan()), 2, 2, true);
     assert_eq!(loss_a, loss_b);
     assert_eq!(sums_a, sums_b);
     assert_eq!(report_a, report_b);
@@ -118,7 +128,7 @@ fn same_seed_crash_runs_are_identical() {
 
 #[test]
 fn lost_cache_shard_degrades_to_cold_fetches_not_wrong_features() {
-    let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1);
+    let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1, true);
     let d = tiny();
     let cfg = chaos_cfg();
     let mut sys = DspSystem::new(&d, 2, &cfg, true);
@@ -194,38 +204,40 @@ fn trainer_crash_terminates_with_a_typed_error() {
         comm_deadline_secs: 2.0,
         ..chaos_cfg()
     };
-    let mut sys = DspSystem::new(&d, 2, &cfg, true);
-    assert!(sys
-        .cluster()
-        .install_fault_hook(Arc::new(
-            FaultPlan::new(0).crash(1, WorkerKind::Trainer, 1,)
-        )));
-    let start = Instant::now();
-    let err = sys
-        .try_run_epoch(0)
-        .expect_err("trainer has no replacement");
-    // BSP lockstep cannot survive a dead trainer: the epoch fails fast
-    // with the crash as root cause, not a hang.
-    match &err {
-        DspError::WorkerCrashed {
-            rank,
-            worker,
-            batch,
-        } => {
-            assert_eq!((*rank, *worker, *batch), (1, WorkerKind::Trainer, 1));
+    for pipelined in EXECUTORS {
+        let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
+        assert!(sys
+            .cluster()
+            .install_fault_hook(Arc::new(
+                FaultPlan::new(0).crash(1, WorkerKind::Trainer, 1,)
+            )));
+        let start = Instant::now();
+        let err = sys
+            .try_run_epoch(0)
+            .expect_err("trainer has no replacement");
+        // BSP lockstep cannot survive a dead trainer: the epoch fails
+        // fast with the crash as root cause, not a hang.
+        match &err {
+            DspError::WorkerCrashed {
+                rank,
+                worker,
+                batch,
+            } => {
+                assert_eq!((*rank, *worker, *batch), (1, WorkerKind::Trainer, 1));
+            }
+            other => panic!("pipelined {pipelined}: expected WorkerCrashed, got: {other}"),
         }
-        other => panic!("expected WorkerCrashed, got: {other}"),
+        let budget = Duration::from_secs_f64(cfg.comm_deadline_secs * (cfg.max_retries + 2) as f64);
+        assert!(
+            start.elapsed() < budget,
+            "pipelined {pipelined}: termination took {:?}, budget {budget:?}",
+            start.elapsed()
+        );
+        let report = sys.last_fault_report();
+        assert_eq!(report.crashed, vec![(1, WorkerKind::Trainer, 1)]);
+        assert_eq!(report.retried, vec![], "{}", report.summary());
+        assert_eq!(report.degraded, vec![], "{}", report.summary());
     }
-    let budget = Duration::from_secs_f64(cfg.comm_deadline_secs * (cfg.max_retries + 2) as f64);
-    assert!(
-        start.elapsed() < budget,
-        "termination took {:?}, budget {budget:?}",
-        start.elapsed()
-    );
-    let report = sys.last_fault_report();
-    assert_eq!(report.crashed, vec![(1, WorkerKind::Trainer, 1)]);
-    assert_eq!(report.retried, vec![], "{}", report.summary());
-    assert_eq!(report.degraded, vec![], "{}", report.summary());
 }
 
 #[test]
@@ -285,37 +297,42 @@ fn crashed_sampler_rejoins_and_the_run_exits_degraded_mode() {
     // per-epoch, so the same window re-fires every epoch and the round
     // pairing must survive repeated membership churn, not just one
     // cycle (a real-time readmission race once wedged cycle three).
-    let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 4);
-    for seed in CHAOS_SEEDS {
-        let plan = FaultPlan::new(seed)
-            .crash(1, WorkerKind::Sampler, 1)
-            .recover(1, WorkerKind::Sampler, 3);
-        let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 4);
-        // Degraded local sampling and the post-rejoin collective path
-        // draw the exact same samples (RNG keyed on (seed, batch,
-        // layer, node)), so crash + rejoin is invisible to the math.
-        assert_eq!(base_loss, loss, "seed {seed}: recovered run diverged");
-        assert_eq!(base_sums, sums, "seed {seed}: replicas diverged");
-        assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 1)]);
-        assert_eq!(report.recovered, vec![(1, WorkerKind::Sampler, 3)]);
-        // Both sides leave and re-enter the group at planned batches:
-        // nothing is discovered the hard way. A retry here is a round
-        // that wedged and was rescued by its deadline — the trajectory
-        // stays bit-identical, so only this line would notice.
-        assert_eq!(retried, 0, "seed {seed}: {}", report.summary());
-        assert!(
-            report.fully_recovered(),
-            "run must end out of degraded mode: {}",
-            report.summary()
-        );
-        assert!(report.summary().contains("rejoin"), "{}", report.summary());
+    for pipelined in EXECUTORS {
+        let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 4, pipelined);
+        for seed in CHAOS_SEEDS {
+            let plan = FaultPlan::new(seed)
+                .crash(1, WorkerKind::Sampler, 1)
+                .recover(1, WorkerKind::Sampler, 3);
+            let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 4, pipelined);
+            // Degraded local sampling and the post-rejoin collective
+            // path draw the exact same samples (RNG keyed on (seed,
+            // batch, layer, node)), so crash + rejoin is invisible to
+            // the math.
+            let tag = format!("seed {seed}, pipelined {pipelined}");
+            assert_eq!(base_loss, loss, "{tag}: recovered run diverged");
+            assert_eq!(base_sums, sums, "{tag}: replicas diverged");
+            assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 1)]);
+            assert_eq!(report.recovered, vec![(1, WorkerKind::Sampler, 3)]);
+            // Both sides leave and re-enter the group at planned
+            // batches: nothing is discovered the hard way. A retry here
+            // is a round that wedged and was rescued by its deadline —
+            // the trajectory stays bit-identical, so only this line
+            // would notice.
+            assert_eq!(retried, 0, "{tag}: {}", report.summary());
+            assert!(
+                report.fully_recovered(),
+                "{tag}: run must end out of degraded mode: {}",
+                report.summary()
+            );
+            assert!(report.summary().contains("rejoin"), "{}", report.summary());
+        }
     }
 }
 
 #[test]
 fn flapping_peer_survives_crash_rejoin_recrash() {
     let gpus = 2;
-    let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2);
+    let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2, true);
     // Crash at 1, rejoin at 3, crash again at 5, rejoin again at 7: the
     // membership generation fences each boundary, and the supervisor
     // records every distinct (rank, worker, batch) transition.
@@ -324,7 +341,7 @@ fn flapping_peer_survives_crash_rejoin_recrash() {
         .recover(1, WorkerKind::Sampler, 3)
         .crash(1, WorkerKind::Sampler, 5)
         .recover(1, WorkerKind::Sampler, 7);
-    let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 2);
+    let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 2, true);
     assert_eq!(base_loss, loss, "flapping peer changed the trajectory");
     assert_eq!(retried, 0, "a planned window wedged: {}", report.summary());
     assert_eq!(base_sums, sums, "replicas diverged");
@@ -341,7 +358,7 @@ fn flapping_peer_survives_crash_rejoin_recrash() {
 
 #[test]
 fn lost_shard_rebuilds_in_background_and_reaches_healthy() {
-    let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1);
+    let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1, true);
     let d = tiny();
     let cfg = chaos_cfg();
     let mut sys = DspSystem::new(&d, 2, &cfg, true);
@@ -412,44 +429,52 @@ fn checkpoints_are_byte_identical_across_same_seed_runs() {
 fn resume_from_checkpoint_matches_the_uninterrupted_trajectory() {
     let d = tiny();
     let cfg = chaos_cfg();
-    // Run A: two epochs, never interrupted, no checkpointing.
-    let mut a = DspSystem::new(&d, 2, &cfg, true);
-    let _e0 = a.try_run_epoch(0).expect("epoch 0");
-    let a_e1 = a.try_run_epoch(1).expect("epoch 1");
-    let a_sums = a.all_checksums();
-    // Run B: same seed with snapshots every 4 global batches; the
-    // system is dropped mid-story and a fresh one resumed from the
-    // latest snapshot on disk.
-    let dir = std::env::temp_dir().join(format!("ds-ckpt-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let ckpt_cfg = TrainConfig {
-        ckpt_every: 4,
-        ckpt_dir: dir.clone(),
-        ..chaos_cfg()
-    };
-    {
-        let mut b = DspSystem::new(&d, 2, &ckpt_cfg, true);
-        b.try_run_epoch(0).expect("epoch 0 with snapshots");
-        // "crash": the system is dropped here, all in-memory state lost.
+    for pipelined in EXECUTORS {
+        // Run A: two epochs, never interrupted, no checkpointing.
+        let mut a = DspSystem::new(&d, 2, &cfg, pipelined);
+        let _e0 = a.try_run_epoch(0).expect("epoch 0");
+        let a_e1 = a.try_run_epoch(1).expect("epoch 1");
+        let a_sums = a.all_checksums();
+        // Run B: same seed with snapshots every 4 global batches; the
+        // system is dropped mid-story and a fresh one resumed from the
+        // latest snapshot on disk.
+        let dir =
+            std::env::temp_dir().join(format!("ds-ckpt-resume-{}-{pipelined}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt_cfg = TrainConfig {
+            ckpt_every: 4,
+            ckpt_dir: dir.clone(),
+            ..chaos_cfg()
+        };
+        {
+            let mut b = DspSystem::new(&d, 2, &ckpt_cfg, pipelined);
+            b.try_run_epoch(0).expect("epoch 0 with snapshots");
+            // "crash": the system is dropped here, all in-memory state
+            // lost.
+        }
+        let ckpt = dsp::store::Checkpoint::latest(&dir)
+            .expect("scan checkpoint dir")
+            .expect("at least one snapshot");
+        assert_eq!(ckpt.epoch, 0);
+        assert!(ckpt.batch_in_epoch > 0);
+        let mut b = DspSystem::resume(&d, 2, &cfg, pipelined, &ckpt);
+        b.try_run_epoch_from(ckpt.epoch, ckpt.batch_in_epoch)
+            .expect("finish the interrupted epoch");
+        let b_e1 = b.try_run_epoch(1).expect("epoch 1 after resume");
+        // Bit-identical: same losses for the post-resume epoch, same
+        // final replica checksums — the interruption is invisible.
+        let tag = format!("pipelined {pipelined}");
+        assert_eq!(
+            a_e1.loss, b_e1.loss,
+            "{tag}: epoch-1 loss diverged after resume"
+        );
+        assert_eq!(
+            a_sums,
+            b.all_checksums(),
+            "{tag}: final model diverged after resume"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let ckpt = dsp::store::Checkpoint::latest(&dir)
-        .expect("scan checkpoint dir")
-        .expect("at least one snapshot");
-    assert_eq!(ckpt.epoch, 0);
-    assert!(ckpt.batch_in_epoch > 0);
-    let mut b = DspSystem::resume(&d, 2, &cfg, true, &ckpt);
-    b.try_run_epoch_from(ckpt.epoch, ckpt.batch_in_epoch)
-        .expect("finish the interrupted epoch");
-    let b_e1 = b.try_run_epoch(1).expect("epoch 1 after resume");
-    // Bit-identical: same losses for the post-resume epoch, same final
-    // replica checksums — the interruption is invisible.
-    assert_eq!(a_e1.loss, b_e1.loss, "epoch-1 loss diverged after resume");
-    assert_eq!(
-        a_sums,
-        b.all_checksums(),
-        "final model diverged after resume"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -476,8 +501,8 @@ fn split_peer_crash_mid_exchange_terminates_within_deadline() {
         comm_deadline_secs: 2.0,
         ..split_cfg()
     };
-    let run = || {
-        let mut sys = DspSystem::new(&d, 2, &cfg, true);
+    let run = |pipelined| {
+        let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
         assert!(sys
             .cluster()
             .install_fault_hook(Arc::new(FaultPlan::new(0).crash(1, WorkerKind::Loader, 1))));
@@ -499,18 +524,21 @@ fn split_peer_crash_mid_exchange_terminates_within_deadline() {
             } => {
                 assert_eq!((*rank, *worker, *batch), (1, WorkerKind::Loader, 1));
             }
-            other => panic!("expected WorkerCrashed, got: {other}"),
+            other => panic!("pipelined {pipelined}: expected WorkerCrashed, got: {other}"),
         }
         (format!("{err}"), sys.last_fault_report())
     };
-    let (err_a, report_a) = run();
-    let (err_b, report_b) = run();
-    assert_eq!(err_a, err_b, "same-seed crash outcomes diverged");
-    assert_eq!(report_a, report_b);
-    assert_eq!(report_a.crashed, vec![(1, WorkerKind::Loader, 1)]);
-    // The teardown is typed end to end: every worker that stops early
-    // gives up its seat, so no survivor sat out a comm deadline.
-    assert_eq!(report_a.retried, vec![], "{}", report_a.summary());
+    for pipelined in EXECUTORS {
+        let (err_a, report_a) = run(pipelined);
+        let (err_b, report_b) = run(pipelined);
+        assert_eq!(err_a, err_b, "same-seed crash outcomes diverged");
+        assert_eq!(report_a, report_b);
+        assert_eq!(report_a.crashed, vec![(1, WorkerKind::Loader, 1)]);
+        // The teardown is typed end to end: every worker that stops
+        // early gives up its seat, so no survivor sat out a comm
+        // deadline.
+        assert_eq!(report_a.retried, vec![], "{}", report_a.summary());
+    }
 }
 
 /// The PR-7 membership fences hold under split mode too: a sampler

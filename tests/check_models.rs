@@ -1,9 +1,10 @@
 //! Schedule-exploration models over the *real* concurrency core.
 //!
 //! Compiled only with `--features check`, which swaps the `crate::sync`
-//! alias layer of ds-pipeline / ds-comm / ds-exec onto the
-//! `ds_check::sync` shims — the code under test here is the production
-//! channel, kernel-slot and CCC implementation, not a re-model of it.
+//! alias (`ds_check::alias`) of ds-pipeline / ds-comm / ds-exec onto
+//! the `ds_check::sync` shims — the code under test here is the
+//! production channel, kernel-slot and CCC implementation, not a
+//! re-model of it.
 //!
 //! Run with: `cargo test --offline --features check --test check_models`
 //! (the `check` CI stage does).
@@ -198,11 +199,12 @@ fn dead_peer_corpse_wedges_a_plain_launch() {
 }
 
 // ---------------------------------------------------------------------
-// The epoch-ahead prefetch handshake (dsp-core `run_rank_pipelined`)
+// The epoch-ahead prefetch handshake (dsp-core's pipelined executor)
 // ---------------------------------------------------------------------
 //
-// The prefetcher is a pure producer on a bounded window queue and the
-// loader filters every popped window by expected batch tag — these
+// The prefetcher thread of `run_rank_pipelined` is a pure producer on a
+// bounded window queue, and `load_stage` filters every popped window by
+// expected batch tag — these
 // models run that handshake (on the production channel) through the
 // three failure shapes the design claims are benign: a prefetcher that
 // dies mid-epoch, a loader faster than its prefetcher, and a loader
@@ -739,79 +741,4 @@ fn sampler_rejoin_awaiting_group_health_passes_before_the_crash_somewhere() {
 #[test]
 fn sampler_rejoin_released_before_readmission_strands_the_waiter_somewhere() {
     rejoin_variant_wedges(RejoinBy::ReleaseFirst);
-}
-
-// ---------------------------------------------------------------------
-// ds-serve: micro-batcher handshake
-// ---------------------------------------------------------------------
-
-use ds_serve::MicroBatcher;
-
-#[test]
-fn serve_batcher_enqueue_tick_shutdown_conserves_every_item() {
-    // Producer enqueues through a queue that can overflow, a ticker
-    // races a deadline flush against the size trigger, a consumer
-    // drains; shutdown lands only after the producers are done. In
-    // every interleaving each item must be flushed xor shed exactly
-    // once, and no thread may park forever — losing either the
-    // size-trigger wake in `enqueue` or the flush wake in `tick`
-    // deadlocks a schedule here.
-    let report = check("serve-batcher-handshake", &dfs_plus_pct(3000, 150), || {
-        let mb = Arc::new(MicroBatcher::new(2, 2));
-        let producer = {
-            let mb = Arc::clone(&mb);
-            ds_check::spawn(move || (0..3u32).filter(|&i| mb.enqueue(i).is_err()).count())
-        };
-        let ticker = {
-            let mb = Arc::clone(&mb);
-            ds_check::spawn(move || mb.tick())
-        };
-        let consumer = {
-            let mb = Arc::clone(&mb);
-            ds_check::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(batch) = mb.next_batch() {
-                    assert!(batch.len() <= 2, "batch over batch_max");
-                    got.extend(batch);
-                }
-                got
-            })
-        };
-        let shed = producer.join();
-        ticker.join();
-        mb.shutdown();
-        let got = consumer.join();
-        assert_eq!(got.len() + shed, 3, "every item flushed xor shed");
-        let mut seen = got.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), got.len(), "an item was delivered twice");
-    });
-    assert!(report.schedules > 100, "exploration actually branched");
-}
-
-#[test]
-fn serve_batcher_shutdown_races_enqueue_drains_or_sheds() {
-    // Shutdown races the enqueues themselves: whatever was admitted
-    // before the close must still drain as final batches, and late
-    // offers must observe the typed Closed shed — no schedule may
-    // strand an admitted item or wedge the drain loop.
-    check(
-        "serve-batcher-shutdown-race",
-        &dfs_plus_pct(1500, 100),
-        || {
-            let mb = Arc::new(MicroBatcher::new(2, 4));
-            let producer = {
-                let mb = Arc::clone(&mb);
-                ds_check::spawn(move || (0..2u32).filter(|&i| mb.enqueue(i).is_err()).count())
-            };
-            mb.shutdown();
-            let mut drained = 0;
-            while let Some(batch) = mb.next_batch() {
-                drained += batch.len();
-            }
-            let shed = producer.join();
-            assert_eq!(drained + shed, 2, "admitted items drain, refused ones shed");
-        },
-    );
 }
