@@ -16,7 +16,7 @@ fn work(c: &[f32]) -> f32 {
 /// results in chunk order.
 fn spawn_chunk_map(data: &[f32], chunk: usize) -> Vec<f32> {
     let n_chunks = data.len().div_ceil(chunk);
-    let threads = par::num_threads().min(n_chunks).max(1);
+    let threads = ds_exec::threads().min(n_chunks).max(1);
     let parts: Vec<Vec<(usize, f32)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {

@@ -42,7 +42,7 @@ fn main() {
     // Cap the per-rank cache below the working set so the serve-local
     // LRU and UVA cold path carry real traffic.
     cfg.cache_budget_override = Some((spec.num_nodes * spec.feat_dim * 4 / 4) as u64);
-    let scfg = ServeConfig::from_env();
+    let scfg = ServeConfig::paper_default();
     let num_nodes = spec.num_nodes;
 
     let layout = build(&spec, &cfg);

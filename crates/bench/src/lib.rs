@@ -26,10 +26,7 @@
 use ds_graph::{Dataset, DatasetSpec};
 use std::sync::OnceLock;
 
-/// Whether quick (CI) mode is on.
-pub fn quick_mode() -> bool {
-    std::env::var("DS_BENCH_QUICK").map_or(false, |v| v != "0" && !v.is_empty())
-}
+pub use ds_testkit::bench::quick_mode;
 
 /// Dataset down-scale factor in quick mode.
 pub fn quick_factor() -> usize {

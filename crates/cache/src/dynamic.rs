@@ -324,7 +324,7 @@ impl DynamicPolicy for BeladyOracle {
     }
 }
 
-/// Which dynamic policy a system runs (`DS_CACHE_POLICY`). The oracle
+/// Which dynamic policy a system runs. The oracle
 /// is deliberately absent: it needs the future access trace and exists
 /// for replay harnesses, not live systems.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -340,7 +340,7 @@ pub enum DynamicPolicyKind {
 }
 
 impl DynamicPolicyKind {
-    /// Table/env spelling.
+    /// Table spelling.
     pub fn name(self) -> &'static str {
         match self {
             DynamicPolicyKind::StaticDegree => "static",
@@ -348,28 +348,6 @@ impl DynamicPolicyKind {
             DynamicPolicyKind::Lfu => "lfu",
             DynamicPolicyKind::PresamplingHotness => "hotness",
         }
-    }
-
-    /// Parses the `DS_CACHE_POLICY` spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "static" => Some(DynamicPolicyKind::StaticDegree),
-            "lru" => Some(DynamicPolicyKind::Lru),
-            "lfu" => Some(DynamicPolicyKind::Lfu),
-            "hotness" => Some(DynamicPolicyKind::PresamplingHotness),
-            _ => None,
-        }
-    }
-
-    /// Reads `DS_CACHE_POLICY`; `None` when unset. An unknown value is
-    /// a configuration error, not a silent default.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("DS_CACHE_POLICY").ok()?;
-        Some(
-            Self::parse(&raw).unwrap_or_else(|| {
-                panic!("DS_CACHE_POLICY={raw:?}: expected static|lru|lfu|hotness")
-            }),
-        )
     }
 
     /// Instantiates the policy.
@@ -749,10 +727,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_parse_round_trips() {
-        for k in DynamicPolicyKind::all() {
-            assert_eq!(DynamicPolicyKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(DynamicPolicyKind::parse("belady"), None);
+    fn kind_names_are_the_table_spellings() {
+        let names = DynamicPolicyKind::all().map(DynamicPolicyKind::name);
+        assert_eq!(names, ["static", "lru", "lfu", "hotness"]);
     }
 }

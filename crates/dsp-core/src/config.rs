@@ -66,16 +66,6 @@ pub enum TrainMode {
 }
 
 impl TrainMode {
-    /// Parses `DS_TRAIN_MODE` (`dp` / `data-parallel` / `split`);
-    /// `None` when the variable is unset.
-    pub fn from_env() -> Option<TrainMode> {
-        match std::env::var("DS_TRAIN_MODE").ok()?.as_str() {
-            "dp" | "data-parallel" | "dataparallel" => Some(TrainMode::DataParallel),
-            "split" | "gsplit" => Some(TrainMode::Split),
-            other => panic!("DS_TRAIN_MODE must be `dp` or `split`, got {other:?}"),
-        }
-    }
-
     /// Display name used in benchmark tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -100,7 +90,7 @@ pub struct TrainConfig {
     /// Sampling scheme.
     pub scheme: Scheme,
     /// Data-parallel (default) or split-parallel (GSplit) training.
-    /// Override via `DS_TRAIN_MODE` (`dp`/`split`). Split mode requires
+    /// Split mode requires
     /// a mean-aggregating model (GraphSAGE or GCN, not GAT) and
     /// disables the epoch-ahead prefetcher (owners already serve their
     /// shard locally, so there is no cold demand stream to hide).
@@ -119,13 +109,11 @@ pub struct TrainConfig {
     pub cache_policy: CachePolicy,
     /// Runtime cache policy over the per-rank cached capacity. The
     /// default, [`DynamicPolicyKind::StaticDegree`], keeps the warm
-    /// contents frozen — DSP's behavior. Override via `DS_CACHE_POLICY`
-    /// (`static`/`lru`/`lfu`/`hotness`).
+    /// contents frozen — DSP's behavior.
     pub dynamic_policy: DynamicPolicyKind,
     /// Epoch-ahead prefetch window: how many batches the prefetcher
     /// replays ahead of the loader (the `q.prefetch` queue capacity).
-    /// `0` disables prefetching. Pipelined mode only; override via
-    /// `DS_PREFETCH_WINDOW`.
+    /// `0` disables prefetching. Pipelined mode only.
     pub prefetch_window: usize,
     /// Fraction of GPU memory reserved for activations/framework (the
     /// remainder goes to topology + feature cache).
@@ -151,18 +139,11 @@ pub struct TrainConfig {
     /// diagnostics instead of hanging (replaces the old hard-coded
     /// one-hour wait).
     pub comm_deadline_secs: f64,
-    /// Retries per batch before a supervised worker gives up.
-    pub max_retries: u32,
-    /// Base virtual-seconds backoff before a retry (doubles per
-    /// attempt).
-    pub retry_backoff_secs: f64,
     /// Write a deterministic checkpoint every this many completed
     /// global batches (rank 0's trainer, at the batch boundary after
-    /// the optimizer step). `0` disables checkpointing. Override via
-    /// `DS_CKPT_EVERY`.
+    /// the optimizer step). `0` disables checkpointing.
     pub ckpt_every: u64,
-    /// Directory checkpoint snapshots are written to. Override via
-    /// `DS_CKPT_DIR`.
+    /// Directory checkpoint snapshots are written to.
     pub ckpt_dir: std::path::PathBuf,
 }
 
@@ -176,21 +157,14 @@ impl TrainConfig {
             num_layers: 3,
             fanout: vec![15, 10, 5],
             scheme: Scheme::NodeWise,
-            train_mode: TrainMode::from_env().unwrap_or(TrainMode::DataParallel),
+            train_mode: TrainMode::DataParallel,
             biased: false,
             batch_size: 64,
             lr: 3e-3,
             seed: 0xD5B0,
             cache_policy: CachePolicy::InDegree,
-            dynamic_policy: DynamicPolicyKind::from_env()
-                .unwrap_or(DynamicPolicyKind::StaticDegree),
-            prefetch_window: std::env::var("DS_PREFETCH_WINDOW")
-                .ok()
-                .map(|v| {
-                    v.parse()
-                        .unwrap_or_else(|_| panic!("DS_PREFETCH_WINDOW must be an integer: {v:?}"))
-                })
-                .unwrap_or(2),
+            dynamic_policy: DynamicPolicyKind::StaticDegree,
+            prefetch_window: 2,
             mem_reserve_frac: 0.5,
             cache_budget_override: None,
             queue_capacity: ds_pipeline::DEFAULT_QUEUE_CAPACITY,
@@ -198,18 +172,8 @@ impl TrainConfig {
             use_ccc: true,
             exec_compute: false,
             comm_deadline_secs: 30.0,
-            max_retries: 3,
-            retry_backoff_secs: 1e-3,
-            ckpt_every: std::env::var("DS_CKPT_EVERY")
-                .ok()
-                .map(|v| {
-                    v.parse()
-                        .unwrap_or_else(|_| panic!("DS_CKPT_EVERY must be an integer: {v:?}"))
-                })
-                .unwrap_or(0),
-            ckpt_dir: std::env::var("DS_CKPT_DIR")
-                .unwrap_or_else(|_| String::from("results/ckpt"))
-                .into(),
+            ckpt_every: 0,
+            ckpt_dir: "results/ckpt".into(),
         }
     }
 
@@ -239,7 +203,6 @@ impl TrainConfig {
             self.comm_deadline_secs > 0.0,
             "comm deadline must be positive"
         );
-        assert!(self.retry_backoff_secs >= 0.0);
         // Split mode distributes the innermost *mean* aggregation as
         // per-owner partial sums; GAT's attention weights depend on
         // both endpoints, so its aggregation does not decompose.
@@ -263,28 +226,17 @@ mod tests {
         assert_eq!(c.num_layers, 3);
         assert_eq!(c.queue_capacity, 2);
         assert!(matches!(c.model, GnnKind::GraphSage));
-        // Unless overridden by DS_CACHE_POLICY / DS_PREFETCH_WINDOW the
-        // runtime cache stays frozen and the prefetcher runs one queue
-        // (2 batches) ahead.
-        if std::env::var("DS_CACHE_POLICY").is_err() {
-            assert_eq!(c.dynamic_policy, DynamicPolicyKind::StaticDegree);
-        }
-        if std::env::var("DS_PREFETCH_WINDOW").is_err() {
-            assert_eq!(c.prefetch_window, 2);
-        }
-        if std::env::var("DS_TRAIN_MODE").is_err() {
-            assert_eq!(
-                c.train_mode,
-                TrainMode::DataParallel,
-                "DSP is the default mode"
-            );
-        }
-        if std::env::var("DS_CKPT_EVERY").is_err() {
-            assert_eq!(c.ckpt_every, 0, "checkpointing is opt-in");
-        }
-        if std::env::var("DS_CKPT_DIR").is_err() {
-            assert_eq!(c.ckpt_dir, std::path::Path::new("results/ckpt"));
-        }
+        // The runtime cache stays frozen and the prefetcher runs one
+        // queue (2 batches) ahead.
+        assert_eq!(c.dynamic_policy, DynamicPolicyKind::StaticDegree);
+        assert_eq!(c.prefetch_window, 2);
+        assert_eq!(
+            c.train_mode,
+            TrainMode::DataParallel,
+            "DSP is the default mode"
+        );
+        assert_eq!(c.ckpt_every, 0, "checkpointing is opt-in");
+        assert_eq!(c.ckpt_dir, std::path::Path::new("results/ckpt"));
     }
 
     #[test]

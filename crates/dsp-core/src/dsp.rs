@@ -1060,10 +1060,7 @@ impl DspSystem {
                 ),
             })
             .collect();
-        let supervisor = Arc::new(Supervisor::new(RetryPolicy {
-            max_retries: cfg.max_retries,
-            base_backoff: cfg.retry_backoff_secs,
-        }));
+        let supervisor = Arc::new(Supervisor::new(RetryPolicy::default()));
         DspSystem {
             layout,
             cfg: cfg.clone(),
@@ -1206,10 +1203,11 @@ impl DspSystem {
             .sum()
     }
 
-    /// The presampling shadow pass (`DS_CACHE_POLICY=hotness`): replay
-    /// the coming epoch's sampling schedule without touching device
-    /// state, count how often every node's features will be requested,
-    /// and hand the counts to each rank's dynamic policy. Runs on the
+    /// The presampling shadow pass
+    /// (`DynamicPolicyKind::PresamplingHotness`): replay the coming
+    /// epoch's sampling schedule without touching device state, count
+    /// how often every node's features will be requested, and hand the
+    /// counts to each rank's dynamic policy. Runs on the
     /// host before the epoch (DGL-style pre-sampling), so it charges no
     /// device time.
     fn presample_hotness(&mut self, batches: &[Vec<Vec<NodeId>>]) {

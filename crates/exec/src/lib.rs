@@ -460,27 +460,31 @@ impl Drop for Pool {
     }
 }
 
-/// Worker count for [`global`]: one less than `DS_PAR_THREADS` (or the
-/// machine's parallelism) because the submitting thread executes the
-/// first part and helps while it waits, so total active compute threads
-/// match the configured width.
-fn default_workers() -> usize {
-    let threads = std::env::var("DS_PAR_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    threads.saturating_sub(1)
+/// Compute width of the process: `DS_PAR_THREADS` (at least 1), or the
+/// machine's parallelism when it is unset or malformed. The one parse
+/// of that variable; read once and cached.
+pub fn threads() -> usize {
+    static N: OnceLock<usize> = OnceLock::new();
+    *N.get_or_init(|| {
+        std::env::var("DS_PAR_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .map(|n| n.max(1))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// The process-global pool, created on first use and never shut down.
+/// It runs one worker less than [`threads`] because the submitting
+/// thread executes the first part and helps while it waits, so total
+/// active compute threads match the configured width.
 pub fn global() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool::new(default_workers()))
+    POOL.get_or_init(|| Pool::new(threads().saturating_sub(1)))
 }
 
 /// Cumulative counters of the [`global`] pool.

@@ -241,9 +241,10 @@ pub fn sample_uniform_with_replacement_into(
 
 /// Weighted sampling without replacement via the Efraimidis–Spirakis
 /// exponential-key trick: key_i = rand()^(1/w_i); take the k largest.
-/// Zero-weight neighbors are never sampled (unless everything is zero).
-/// Takes `(neighbor, weight)` pairs so pulled pair lists and split
-/// id/weight arrays feed it alike; appends the picks to `out`.
+/// Neighbors of non-positive weight are never sampled, so fewer than
+/// `k` come back when fewer than `k` weigh anything. Takes
+/// `(neighbor, weight)` pairs so pulled pair lists and split id/weight
+/// arrays feed it alike; appends the picks to `out`.
 pub fn sample_weighted_into(
     pairs: impl ExactSizeIterator<Item = (NodeId, f32)>,
     k: usize,
@@ -251,7 +252,7 @@ pub fn sample_weighted_into(
     out: &mut Vec<NodeId>,
 ) {
     if pairs.len() <= k {
-        out.extend(pairs.map(|(v, _)| v));
+        out.extend(pairs.filter(|&(_, w)| w > 0.0).map(|(v, _)| v));
         return;
     }
     let mut keyed: Vec<(f64, NodeId)> = pairs
@@ -266,7 +267,14 @@ pub fn sample_weighted_into(
         })
         .collect();
     keyed.select_nth_unstable_by(k - 1, |a, b| b.0.partial_cmp(&a.0).unwrap());
-    out.extend(keyed[..k].iter().map(|&(_, v)| v));
+    // Non-positive weights key to -inf and sort last: they reach the top
+    // k only when fewer than k neighbors weigh anything.
+    out.extend(
+        keyed[..k]
+            .iter()
+            .filter(|e| e.0 > f64::NEG_INFINITY)
+            .map(|&(_, v)| v),
+    );
 }
 
 /// Multinomial draw: `n` draws over `probs ∝ weights` with replacement;
@@ -489,6 +497,16 @@ mod tests {
         for _ in 0..200 {
             let s = sample_weighted(&nb, &w, 2, &mut r);
             assert!(!s.contains(&1) && !s.contains(&4), "{s:?}");
+        }
+        // Fewer positive weights than k: only the positive ones return,
+        // both when the list is longer than k and when it is not.
+        for (ws, want) in [(&[1.0, 2.0, 0.0, 0.0, 0.0][..], 2), (&[1.0, 0.0][..], 1)] {
+            let ids: Vec<NodeId> = (0..ws.len() as NodeId).collect();
+            for _ in 0..200 {
+                let mut s = sample_weighted(&ids, ws, 3, &mut r);
+                s.sort_unstable();
+                assert_eq!(s, (0..want).collect::<Vec<NodeId>>(), "weights {ws:?}");
+            }
         }
     }
 

@@ -39,36 +39,19 @@ pub const SERVE_BATCH_BASE: u64 = 1 << 41;
 /// cached rows reach it over NVLink; cold rows over UVA/PCIe.
 const SERVING_RANK: usize = 0;
 
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok().map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| panic!("{key} must be a positive integer, got {s:?}"))
-    })
-}
-
-fn env_f64(key: &str) -> Option<f64> {
-    std::env::var(key).ok().map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| panic!("{key} must be a number, got {s:?}"))
-    })
-}
-
-/// Serving-side knobs. Environment overrides (`DS_SERVE_*`) follow the
-/// `TrainConfig` convention: unset → default, malformed → panic.
+/// Serving-side knobs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeConfig {
     /// Size trigger: a micro-batch flushes as soon as this many
-    /// requests are queued (`DS_SERVE_BATCH_MAX`).
+    /// requests are queued.
     pub batch_max: usize,
     /// Deadline trigger: a partial batch flushes once its oldest
-    /// request has waited this long (`DS_SERVE_BATCH_DELAY_US`,
-    /// microseconds).
+    /// request has waited this long.
     pub batch_delay_s: f64,
     /// Bounded admission queue; arrivals beyond it shed with
-    /// `QueueFull` (`DS_SERVE_QUEUE_CAP`).
+    /// `QueueFull`.
     pub queue_cap: usize,
-    /// Serve-local LRU capacity (rows) fronting the UVA cold path
-    /// (`DS_SERVE_CACHE_ROWS`).
+    /// Serve-local LRU capacity (rows) fronting the UVA cold path.
     pub serve_cache_rows: usize,
     /// Sampling fanout per layer (also fixes model depth).
     pub fanout: Vec<usize>,
@@ -94,25 +77,6 @@ impl ServeConfig {
             seed: 42,
             deadlines_s: [2e-3, 10e-3, 50e-3],
         }
-    }
-
-    /// Defaults with `DS_SERVE_*` environment overrides applied.
-    pub fn from_env() -> Self {
-        let mut c = Self::paper_default();
-        if let Some(v) = env_usize("DS_SERVE_BATCH_MAX") {
-            c.batch_max = v;
-        }
-        if let Some(v) = env_f64("DS_SERVE_BATCH_DELAY_US") {
-            c.batch_delay_s = v * 1e-6;
-        }
-        if let Some(v) = env_usize("DS_SERVE_QUEUE_CAP") {
-            c.queue_cap = v;
-        }
-        if let Some(v) = env_usize("DS_SERVE_CACHE_ROWS") {
-            c.serve_cache_rows = v;
-        }
-        c.validate();
-        c
     }
 
     /// Panics on inconsistent settings.

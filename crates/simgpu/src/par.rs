@@ -17,8 +17,9 @@
 //! helps the pool while waiting, which also makes nested maps (a GEMM
 //! issued from inside a pool task) deadlock-free.
 //!
-//! Thread count comes from `available_parallelism`, overridable with
-//! `DS_PAR_THREADS` (set `DS_PAR_THREADS=1` to force serial execution).
+//! Thread count is the pool's width, [`ds_exec::threads`]
+//! (`available_parallelism`, overridable with `DS_PAR_THREADS`; set
+//! `DS_PAR_THREADS=1` to force serial execution).
 //! The serial cutoff below which the pool hand-off is skipped is
 //! likewise overridable with `DS_PAR_SERIAL_CUTOFF` (set it to `0` so
 //! tests exercise the parallel path on small inputs). The `*_with`
@@ -33,21 +34,6 @@
 
 use std::sync::OnceLock;
 
-/// Worker threads used by the parallel maps.
-pub fn num_threads() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        if let Ok(v) = std::env::var("DS_PAR_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Default for [`serial_cutoff`]: below this many elements the pool
 /// hand-off costs more than it saves.
 const SERIAL_CUTOFF_DEFAULT: usize = 4096;
@@ -61,7 +47,7 @@ fn parse_serial_cutoff(var: Option<&str>) -> usize {
 }
 
 /// Input length at or below which the parallel maps run serially.
-/// Cached on first use, like [`num_threads`].
+/// Cached on first use, like [`ds_exec::threads`].
 pub fn serial_cutoff() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| parse_serial_cutoff(std::env::var("DS_PAR_SERIAL_CUTOFF").ok().as_deref()))
@@ -93,7 +79,7 @@ where
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
-    chunk_map_mut_with(num_threads(), data, chunk, f)
+    chunk_map_mut_with(ds_exec::threads(), data, chunk, f)
 }
 
 /// [`chunk_map_mut`] with an explicit part count. Output is identical
@@ -159,7 +145,7 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    chunk_map_with(num_threads(), data, chunk, f)
+    chunk_map_with(ds_exec::threads(), data, chunk, f)
 }
 
 /// [`chunk_map`] with an explicit part count (see
@@ -211,7 +197,7 @@ where
     if len == 0 {
         return;
     }
-    let chunk = len.div_ceil(num_threads() * 4).max(1);
+    let chunk = len.div_ceil(ds_exec::threads() * 4).max(1);
     chunk_map_mut(data, chunk, |ci, slice| {
         let base = ci * chunk;
         for (j, x) in slice.iter_mut().enumerate() {
@@ -227,7 +213,7 @@ where
     R: Send,
     F: Fn(usize) -> Vec<R> + Sync,
 {
-    flat_map_indexed_with(num_threads(), n, f)
+    flat_map_indexed_with(ds_exec::threads(), n, f)
 }
 
 /// [`flat_map_indexed`] with an explicit part count (see

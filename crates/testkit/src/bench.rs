@@ -21,11 +21,19 @@ struct Budget {
     max_iters: u64,
 }
 
+/// Whether quick (CI) mode is on: `DS_BENCH_QUICK` is set to anything
+/// but empty or `0`. The one parse of that variable; ds-bench's table
+/// and figure binaries shrink on the same answer.
+pub fn quick_mode() -> bool {
+    quick_from(std::env::var("DS_BENCH_QUICK").ok().as_deref())
+}
+
+fn quick_from(var: Option<&str>) -> bool {
+    var.map_or(false, |v| !v.is_empty() && v != "0")
+}
+
 fn budget() -> Budget {
-    if std::env::var("DS_BENCH_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-    {
+    if quick_mode() {
         Budget {
             warmup: Duration::from_millis(5),
             measure: Duration::from_millis(20),
@@ -212,3 +220,16 @@ macro_rules! criterion_main {
 }
 
 pub use crate::{criterion_group, criterion_main};
+
+#[cfg(test)]
+mod tests {
+    use super::quick_from;
+
+    #[test]
+    fn quick_mode_is_off_when_unset_empty_or_zero() {
+        assert!(!quick_from(None));
+        assert!(!quick_from(Some("")));
+        assert!(!quick_from(Some("0")));
+        assert!(quick_from(Some("1")));
+    }
+}

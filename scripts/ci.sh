@@ -68,11 +68,27 @@ if [ "${1:-}" = "bench_smoke" ]; then
     exit 0
 fi
 
+# Size stage: the size ledger. size_ledger recounts code lines, `pub`
+# items and env::var sites per crate into a fresh file; it must equal
+# the committed SIZE.json byte for byte, so every change states its
+# size cost by refreshing the ledger (the diff shows the delta).
+# Invocable alone as `scripts/ci.sh size`.
+size_stage() {
+    cargo run -q --release --offline -p ds-bench --bin size_ledger -- target/SIZE.json
+    diff -u SIZE.json target/SIZE.json
+}
+
+if [ "${1:-}" = "size" ]; then
+    size_stage
+    exit 0
+fi
+
 cargo fmt --check
 scripts/lint_locks.sh
 scripts/lint_threads.sh
 scripts/lint_sync.sh
 cargo build --release --offline
+size_stage
 # `cargo test` does not compile harness=false benches; build them so
 # the ds-testkit bench API stays honest.
 cargo build --offline --benches

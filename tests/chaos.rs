@@ -18,7 +18,7 @@ use dsp::comm::{CommConfig, CommError, Communicator};
 use dsp::core::config::TrainConfig;
 use dsp::core::dsp::DspSystem;
 use dsp::core::error::DspError;
-use dsp::core::System;
+use dsp::core::{RetryPolicy, System};
 use dsp::fault::FaultPlan;
 use dsp::graph::{Dataset, DatasetSpec};
 use dsp::simgpu::{Clock, ClusterSpec, WorkerKind};
@@ -227,7 +227,9 @@ fn trainer_crash_terminates_with_a_typed_error() {
             }
             other => panic!("pipelined {pipelined}: expected WorkerCrashed, got: {other}"),
         }
-        let budget = Duration::from_secs_f64(cfg.comm_deadline_secs * (cfg.max_retries + 2) as f64);
+        let budget = Duration::from_secs_f64(
+            cfg.comm_deadline_secs * (RetryPolicy::default().max_retries + 2) as f64,
+        );
         assert!(
             start.elapsed() < budget,
             "pipelined {pipelined}: termination took {:?}, budget {budget:?}",
@@ -510,7 +512,9 @@ fn split_peer_crash_mid_exchange_terminates_within_deadline() {
         let err = sys
             .try_run_epoch(0)
             .expect_err("a dead loader peer has no replacement in split mode");
-        let budget = Duration::from_secs_f64(cfg.comm_deadline_secs * (cfg.max_retries + 2) as f64);
+        let budget = Duration::from_secs_f64(
+            cfg.comm_deadline_secs * (RetryPolicy::default().max_retries + 2) as f64,
+        );
         assert!(
             start.elapsed() < budget,
             "termination took {:?}, budget {budget:?}",
