@@ -8,8 +8,10 @@
 
 use dsp::core::config::TrainConfig;
 use dsp::core::layout::{build_dsp_layout, DspLayout};
+use dsp::fault::FaultPlan;
 use dsp::graph::DatasetSpec;
 use dsp::serve::{open_loop_trace, LoadPoint, ReqClass, ServeConfig, ServeEngine, ShedReason};
+use std::sync::Arc;
 
 const NODES: usize = 800;
 
@@ -139,6 +141,56 @@ fn same_seed_and_trace_give_identical_stats_and_report() {
     let pa = LoadPoint::from_stats(50_000.0, &a);
     let pb = LoadPoint::from_stats(50_000.0, &b);
     assert_eq!(pa, pb);
+}
+
+/// Golden replays: the batch hash folds every batch composition and
+/// every logit bit, so a change to the serve host path that moved a
+/// single logit, LRU decision or batch boundary fails here. One clean
+/// replay past capacity (the shed paths) and one through a
+/// lost-then-rebuilt shard (the stale-row and supervisor path). Stale
+/// rows are served from the pre-loss copy, so the shard lane's logits
+/// match a clean run's; its degraded-batch count pins the fault path.
+/// Pinned values: `(batch_hash, completed, shed, degraded_batches)`.
+#[test]
+fn golden_serve_batch_hashes_are_pinned() {
+    let cfg = ServeConfig::paper_default();
+    let clean_layout = layout();
+    let shard_layout = layout();
+    assert!(shard_layout.cluster.install_fault_hook(Arc::new(
+        FaultPlan::new(0).lose_shard(1).rebuild_shard(1, 3)
+    )));
+    let lanes = [
+        (
+            "clean",
+            &clean_layout,
+            400_000.0,
+            (0x79e4_1edd_ecc6_c389, 321, 179, 0),
+        ),
+        (
+            "shard_loss",
+            &shard_layout,
+            60_000.0,
+            (0x382d_1ae4_5cb0_9afe, 500, 0, 11),
+        ),
+    ];
+    for (name, l, rate, want) in lanes {
+        let trace = open_loop_trace(cfg.seed, rate, 500, NODES);
+        let s = ServeEngine::new(l, cfg.clone()).run(&trace);
+        let got = (
+            s.batch_hash,
+            s.responses.len(),
+            s.sheds.len(),
+            s.degraded_batches,
+        );
+        assert_eq!(
+            got, want,
+            "{name}: (batch_hash {:#018x}, completed, shed, degraded) moved",
+            got.0
+        );
+        if name == "shard_loss" {
+            assert!(!s.time_to_fresh_s.is_empty(), "the shard must recover");
+        }
+    }
 }
 
 /// Child mode: run one serving sweep under whatever `DS_PAR_THREADS`
