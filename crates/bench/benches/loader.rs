@@ -8,8 +8,14 @@
 //! recycled, and what a caller that never hands matrices back still
 //! pays) and `recycled` (the matrix goes back to the rank's free list,
 //! as the executors' trainer loops do).
+//!
+//! `serve_lru_access` is the serve fetch's cold-path rung: one replay's
+//! worth of accesses (600 000) through a fresh 256-row LRU
+//! `PolicyCache`, ids drawn uniformly from 2^23 so that about 3 in
+//! 100 000 hit — `serve_sweep`'s serve LRU misses on all but 1–4 in
+//! 100 000 of its ~550 000 accesses per replay.
 
-use ds_cache::{DspLoader, PartitionedCache, PrefetchedWindow};
+use ds_cache::{DspLoader, DynamicPolicyKind, PartitionedCache, PolicyCache, PrefetchedWindow};
 use ds_comm::Communicator;
 use ds_graph::{Features, NodeId};
 use ds_simgpu::{Clock, ClusterSpec};
@@ -77,5 +83,28 @@ fn bench_load_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_load_path);
+fn bench_serve_lru(c: &mut Criterion) {
+    let mut x: u64 = 0x5e7e_d00d;
+    let trace: Vec<NodeId> = (0..600_000)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 41) as NodeId
+        })
+        .collect();
+    let mut group = c.benchmark_group("serve_lru_access");
+    group.bench_function("600k_cap256_uniform_2e23", |b| {
+        b.iter(|| {
+            let mut cache = PolicyCache::new(256, DynamicPolicyKind::Lru.build());
+            for &v in &trace {
+                cache.access(v);
+            }
+            cache.stats().misses
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_load_path, bench_serve_lru);
 criterion_main!(benches);

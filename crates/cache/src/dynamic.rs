@@ -20,7 +20,9 @@
 //! of thread pool width.
 
 use ds_graph::NodeId;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Runtime policy hooks. `pos` is the 0-based ordinal of the access in
 /// the shard's access sequence (unique and monotone), usable both as a
@@ -73,23 +75,112 @@ impl DynamicPolicy for StaticDegree {
     fn insert(&mut self, _v: NodeId, _pos: u64) {}
 }
 
-/// Least-recently-used: always admit, evict the oldest touch. Recency
-/// uses an internal monotone stamp so seeding order (coldest first)
-/// composes with access order.
-#[derive(Debug, Default)]
+/// Multiply-shift hashing for `NodeId` keys: one multiply by a 64-bit
+/// odd constant, the high half folded onto the low half so the low
+/// bits `HashMap` indexes with depend on every bit of the id. Node ids
+/// are not adversarial input, so SipHash's flood resistance buys
+/// nothing here and costs most of an LRU access.
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeHasher(u64);
+
+impl Hasher for NodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+    fn write_u64(&mut self, v: u64) {
+        let h = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type NodeBuild = BuildHasherDefault<NodeHasher>;
+
+/// Sentinel slot: end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// Least-recently-used: always admit, evict the oldest touch. Residents
+/// sit on an intrusive doubly linked list over slots, oldest at `head`,
+/// so a touch, an insert and an eviction are each O(1); seeding order
+/// (coldest first) composes with access order.
+#[derive(Debug)]
 pub struct Lru {
-    stamp: u64,
-    key: HashMap<NodeId, u64>,
-    order: BTreeSet<(u64, NodeId)>,
+    slot_of: HashMap<NodeId, u32, NodeBuild>,
+    node: Vec<NodeId>,
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Slots freed by evictions, reused before the arrays grow.
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl Default for Lru {
+    fn default() -> Self {
+        Lru {
+            slot_of: HashMap::default(),
+            node: Vec::new(),
+            prev: Vec::new(),
+            next: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
 }
 
 impl Lru {
-    fn bump(&mut self, v: NodeId) {
-        if let Some(old) = self.key.insert(v, self.stamp) {
-            self.order.remove(&(old, v));
+    fn unlink(&mut self, s: u32) {
+        let (p, n) = (self.prev[s as usize], self.next[s as usize]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
         }
-        self.order.insert((self.stamp, v));
-        self.stamp += 1;
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+
+    fn push_newest(&mut self, s: u32) {
+        self.prev[s as usize] = self.tail;
+        self.next[s as usize] = NIL;
+        match self.tail {
+            NIL => self.head = s,
+            t => self.next[t as usize] = s,
+        }
+        self.tail = s;
+    }
+
+    /// Makes `v` the most recently used, registering it if new.
+    fn bump(&mut self, v: NodeId) {
+        let s = match self.slot_of.entry(v) {
+            Entry::Occupied(e) => {
+                let s = *e.get();
+                self.unlink(s);
+                s
+            }
+            Entry::Vacant(e) => match self.free.pop() {
+                Some(s) => {
+                    self.node[s as usize] = v;
+                    *e.insert(s)
+                }
+                None => {
+                    self.node.push(v);
+                    self.prev.push(NIL);
+                    self.next.push(NIL);
+                    *e.insert((self.node.len() - 1) as u32)
+                }
+            },
+        };
+        self.push_newest(s);
     }
 }
 
@@ -107,9 +198,12 @@ impl DynamicPolicy for Lru {
         true
     }
     fn evict(&mut self) -> NodeId {
-        let &(stamp, v) = self.order.iter().next().expect("evict on empty LRU");
-        self.order.remove(&(stamp, v));
-        self.key.remove(&v);
+        let s = self.head;
+        assert!(s != NIL, "evict on empty LRU");
+        self.unlink(s);
+        let v = self.node[s as usize];
+        self.slot_of.remove(&v);
+        self.free.push(s);
         v
     }
     fn insert(&mut self, v: NodeId, _pos: u64) {
@@ -432,7 +526,7 @@ pub enum Access {
 /// double-eviction guard the property suite leans on).
 pub struct PolicyCache {
     capacity: usize,
-    resident: HashSet<NodeId>,
+    resident: HashSet<NodeId, NodeBuild>,
     policy: Box<dyn DynamicPolicy>,
     pos: u64,
     stats: CacheStats,
@@ -444,7 +538,7 @@ impl PolicyCache {
     pub fn new(capacity: usize, policy: Box<dyn DynamicPolicy>) -> Self {
         PolicyCache {
             capacity,
-            resident: HashSet::new(),
+            resident: HashSet::default(),
             policy,
             pos: 0,
             stats: CacheStats::default(),

@@ -96,13 +96,11 @@ impl PartitionedCache {
     }
 
     /// The cached row of global node `v` on `rank`, if `rank` owns and
-    /// caches it.
+    /// caches it. O(1): `rank`'s own range is checked directly, so a
+    /// caller that already knows `owner(v)` pays no second search.
     pub fn lookup(&self, rank: usize, v: NodeId) -> Option<&[f32]> {
-        if self.owner(v) != rank {
-            return None;
-        }
-        let local = (v - self.range_starts[rank]) as usize;
-        match self.position[rank][local] {
+        let local = v.checked_sub(self.range_starts[rank])? as usize;
+        match *self.position[rank].get(local)? {
             COLD => None,
             slot => Some(self.storage[rank].row(slot as usize)),
         }
@@ -110,8 +108,7 @@ impl PartitionedCache {
 
     /// Whether `v` is cached anywhere (on its owner).
     pub fn is_cached(&self, v: NodeId) -> bool {
-        let o = self.owner(v);
-        self.lookup(o, v).is_some()
+        self.lookup(self.owner(v), v).is_some()
     }
 
     /// Cached rows on `rank`.

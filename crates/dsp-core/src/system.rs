@@ -92,7 +92,7 @@ pub fn evaluate_model(
         let input = Matrix::from_vec(
             sample.input_nodes().len(),
             features.dim(),
-            gathered.data().to_vec(),
+            gathered.into_vec(),
         );
         let batch_labels: Vec<u32> = batch.iter().map(|&v| labels.get(v)).collect();
         let r = trainer.evaluate(&sample, &input, &batch_labels);

@@ -118,6 +118,26 @@ pub fn gat_forward(
     h_src: &Matrix,
     relu: bool,
 ) -> (Matrix, GatTape) {
+    let mut tape = attend(p, block, h_src, relu);
+    let out = if relu {
+        ops::relu(&tape.z_out)
+    } else {
+        tape.z_out.clone()
+    };
+    tape.h_src = h_src.clone();
+    (out, tape)
+}
+
+/// [`gat_forward`] without the tape: the same kernels in the same
+/// order, so the output is bit-identical.
+pub(crate) fn gat_infer(p: &GatParam, block: &SampleLayer, h_src: &Matrix, relu: bool) -> Matrix {
+    crate::layers::activate(attend(p, block, h_src, relu).z_out, relu)
+}
+
+/// The kernels of [`gat_forward`]: projection, scores, per-destination
+/// softmax and weighted aggregation. Returns the tape without `h_src`,
+/// which only the backward pass reads.
+fn attend(p: &GatParam, block: &SampleLayer, h_src: &Matrix, relu: bool) -> GatTape {
     let out_dim = p.w.cols();
     let z = h_src.matmul(&p.w);
     // Extended edge list: sampled edges then one self-edge per dst.
@@ -173,24 +193,16 @@ pub fn gat_forward(
         }
     }
     z_out.add_bias(&p.b);
-    let out = if relu {
-        ops::relu(&z_out)
-    } else {
-        z_out.clone()
-    };
-    (
-        out,
-        GatTape {
-            h_src: h_src.clone(),
-            z,
-            edge_src,
-            edge_dst,
-            scores,
-            alpha,
-            z_out,
-            relu,
-        },
-    )
+    GatTape {
+        h_src: Matrix::zeros(0, 0),
+        z,
+        edge_src,
+        edge_dst,
+        scores,
+        alpha,
+        z_out,
+        relu,
+    }
 }
 
 /// GAT backward over one block.

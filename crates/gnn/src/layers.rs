@@ -185,9 +185,7 @@ pub fn sage_forward(
     h_src: &Matrix,
     relu: bool,
 ) -> (Matrix, LayerTape) {
-    let agg = fused_mean(h_src, block, false);
-    let mut z = kernel::gather_concat_matmul(h_src, &block.dst_pos_in_src, &agg, &p.w);
-    z.add_bias(&p.b);
+    let (agg, z) = sage_pre_activation(p, block, h_src);
     let out = if relu { ops::relu(&z) } else { z.clone() };
     (
         out,
@@ -198,6 +196,35 @@ pub fn sage_forward(
             relu,
         },
     )
+}
+
+/// The kernels of [`sage_forward`]: the neighbor mean and the biased
+/// concat GEMM over it.
+fn sage_pre_activation(p: &DenseParam, block: &SampleLayer, h_src: &Matrix) -> (Matrix, Matrix) {
+    let agg = fused_mean(h_src, block, false);
+    let mut z = kernel::gather_concat_matmul(h_src, &block.dst_pos_in_src, &agg, &p.w);
+    z.add_bias(&p.b);
+    (agg, z)
+}
+
+/// [`sage_forward`] without the tape: the same kernels in the same
+/// order, so the output is bit-identical, with no activation kept or
+/// copied.
+pub(crate) fn sage_infer(
+    p: &DenseParam,
+    block: &SampleLayer,
+    h_src: &Matrix,
+    relu: bool,
+) -> Matrix {
+    activate(sage_pre_activation(p, block, h_src).1, relu)
+}
+
+/// Applies the layer's optional ReLU to a pre-activation it consumes.
+pub(crate) fn activate(mut z: Matrix, relu: bool) -> Matrix {
+    if relu {
+        ops::relu_in_place(&mut z);
+    }
+    z
 }
 
 /// GraphSAGE backward on one block, on the same fused paths as the
@@ -311,9 +338,7 @@ pub fn gcn_forward(
     h_src: &Matrix,
     relu: bool,
 ) -> (Matrix, LayerTape) {
-    let agg = fused_mean(h_src, block, true);
-    let mut z = agg.matmul(&p.w);
-    z.add_bias(&p.b);
+    let (agg, z) = gcn_pre_activation(p, block, h_src);
     let out = if relu { ops::relu(&z) } else { z.clone() };
     (
         out,
@@ -324,6 +349,19 @@ pub fn gcn_forward(
             relu,
         },
     )
+}
+
+/// The kernels of [`gcn_forward`]: the closed mean and the biased GEMM.
+fn gcn_pre_activation(p: &DenseParam, block: &SampleLayer, h_src: &Matrix) -> (Matrix, Matrix) {
+    let agg = fused_mean(h_src, block, true);
+    let mut z = agg.matmul(&p.w);
+    z.add_bias(&p.b);
+    (agg, z)
+}
+
+/// [`gcn_forward`] without the tape (see [`sage_infer`]).
+pub(crate) fn gcn_infer(p: &DenseParam, block: &SampleLayer, h_src: &Matrix, relu: bool) -> Matrix {
+    activate(gcn_pre_activation(p, block, h_src).1, relu)
 }
 
 /// GCN backward.

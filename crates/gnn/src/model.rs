@@ -165,17 +165,7 @@ impl GnnModel {
         labels: &[u32],
     ) -> (f32, ModelTape) {
         let nl = self.num_layers();
-        assert_eq!(
-            sample.num_layers(),
-            nl,
-            "sample depth must match model depth"
-        );
-        assert_eq!(
-            input.rows(),
-            sample.input_nodes().len(),
-            "input rows must cover the input set"
-        );
-        assert_eq!(input.cols(), self.dims[0]);
+        self.check_input(sample, input);
         let mut h = input.clone();
         let mut tapes = Vec::with_capacity(nl);
         for k in 0..nl {
@@ -209,6 +199,42 @@ impl GnnModel {
                 probs,
             },
         )
+    }
+
+    /// Inference: the logits of [`Self::forward`], bit for bit, from the
+    /// same kernels in the same order, with no tape, no loss and no
+    /// copy of `input` — what serving and evaluation need.
+    pub fn infer(&self, sample: &GraphSample, input: &Matrix) -> Matrix {
+        let nl = self.num_layers();
+        self.check_input(sample, input);
+        let mut h: Option<Matrix> = None;
+        for k in 0..nl {
+            let block = &sample.layers[nl - 1 - k];
+            let relu = k + 1 < nl;
+            let src = h.as_ref().unwrap_or(input);
+            h = Some(match (&self.params[k], self.kind) {
+                (LayerParams::Dense(p), GnnKind::GraphSage) => {
+                    layers::sage_infer(p, block, src, relu)
+                }
+                (LayerParams::Dense(p), _) => layers::gcn_infer(p, block, src, relu),
+                (LayerParams::Gat(p), _) => gat::gat_infer(p, block, src, relu),
+            });
+        }
+        h.expect("a model has at least one layer")
+    }
+
+    fn check_input(&self, sample: &GraphSample, input: &Matrix) {
+        assert_eq!(
+            sample.num_layers(),
+            self.num_layers(),
+            "sample depth must match model depth"
+        );
+        assert_eq!(
+            input.rows(),
+            sample.input_nodes().len(),
+            "input rows must cover the input set"
+        );
+        assert_eq!(input.cols(), self.dims[0]);
     }
 
     /// Split-parallel forward: the innermost convolution's aggregated
@@ -567,6 +593,37 @@ mod tests {
                 assert!(
                     (a - b).abs() <= 1e-5 * (1.0 + a.abs()),
                     "{kind:?}: {a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infer_logits_equal_forward_logits_bit_for_bit() {
+        let g = ds_graph::gen::erdos_renyi(300, 3000, true, 11);
+        let seeds: Vec<u32> = (0..24).map(|i| i * 7).collect();
+        for kind in [GnnKind::GraphSage, GnnKind::Gcn, GnnKind::Gat] {
+            for layers in 1..=3 {
+                let fanout = vec![5; layers];
+                let sample = ds_sampling::local::local_sample(&g, &seeds, &fanout, 3, 0);
+                let n = sample.input_nodes().len();
+                let input = Matrix::from_vec(
+                    n,
+                    6,
+                    (0..n * 6)
+                        .map(|i| ((i * 2654435761) % 103) as f32 / 51.0 - 1.0)
+                        .collect(),
+                );
+                let m = GnnModel::new(kind, 6, 8, 4, layers, 5);
+                let labels = vec![0u32; seeds.len()];
+                let (_, tape) = m.forward(&sample, &input, &labels);
+                let logits = m.infer(&sample, &input);
+                assert_eq!((logits.rows(), logits.cols()), (seeds.len(), 4));
+                let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&logits),
+                    bits(tape.logits()),
+                    "{kind:?} at {layers} layers"
                 );
             }
         }

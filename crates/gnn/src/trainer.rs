@@ -302,8 +302,9 @@ impl Trainer {
         if sample.seeds.is_empty() {
             return BatchResult::default();
         }
-        let (loss, tape) = self.model.forward(sample, input, labels);
-        let accuracy = ds_tensor::ops::accuracy(tape.logits(), labels);
+        let logits = self.model.infer(sample, input);
+        let (loss, _) = ds_tensor::ops::softmax_cross_entropy(&logits, labels);
+        let accuracy = ds_tensor::ops::accuracy(&logits, labels);
         BatchResult {
             loss,
             accuracy,

@@ -63,6 +63,11 @@ impl Features {
         &self.data
     }
 
+    /// Consumes into the flat data vector.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Bytes per feature row (what one feature fetch moves).
     #[inline]
     pub fn row_bytes(&self) -> u64 {

@@ -153,10 +153,47 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Per-rank shard bookkeeping while serving through a fault.
-struct ShardWatch {
+/// What one replay carries from batch to batch.
+struct Replay {
+    clock: Clock,
+    /// Serve-local LRU fronting the UVA cold path.
+    serve_cache: PolicyCache,
+    supervisor: Supervisor,
+    /// Per rank: the shard was seen down / seen healthy again.
     recovering_seen: Vec<bool>,
     healthy_seen: Vec<bool>,
+    stats: ServeStats,
+    /// The gathered input rows of the current batch; one allocation
+    /// reused by every batch.
+    input: Vec<f32>,
+}
+
+impl Replay {
+    /// Reads `owner`'s shard status at `batch` and reports the first
+    /// down and the first healthy-again observation to the supervisor.
+    /// Returns whether the shard is down (its rows are stale).
+    fn observe_shard(&mut self, layout: &DspLayout, owner: usize, batch: u64) -> bool {
+        let rows = layout.cache.cached_rows(owner) as u64;
+        let status = shard_rebuild_status(&layout.cluster, owner, rows, batch);
+        let down = matches!(
+            status,
+            Some(RebuildStatus::Lost | RebuildStatus::Recovering { .. })
+        );
+        let now = self.clock.now();
+        if down && !self.recovering_seen[owner] {
+            self.recovering_seen[owner] = true;
+            self.supervisor.mark_recovering(owner, batch, now);
+        }
+        if let Some(RebuildStatus::Healthy { .. }) = status {
+            if self.recovering_seen[owner] && !self.healthy_seen[owner] {
+                self.healthy_seen[owner] = true;
+                if let Some(dt) = self.supervisor.mark_healthy(owner, batch, now) {
+                    self.stats.time_to_fresh_s.push(dt);
+                }
+            }
+        }
+        down
+    }
 }
 
 /// The serving engine for one built layout. Construction initializes
@@ -194,56 +231,49 @@ impl<'a> ServeEngine<'a> {
     pub fn run(&self, trace: &[Request]) -> ServeStats {
         let cfg = &self.cfg;
         let _guard = ds_trace::worker(SERVING_RANK as u32, ds_trace::TID_SERVE);
-        let mut clock = Clock::new();
         let mut core: BatcherCore<Request> = BatcherCore::new(cfg.batch_max, cfg.queue_cap);
-        let mut serve_cache =
-            PolicyCache::new(cfg.serve_cache_rows, DynamicPolicyKind::Lru.build());
-        let supervisor = Supervisor::new(RetryPolicy::default());
         let gpus = self.layout.cluster.num_gpus();
-        let mut watch = ShardWatch {
+        let mut st = Replay {
+            clock: Clock::new(),
+            serve_cache: PolicyCache::new(cfg.serve_cache_rows, DynamicPolicyKind::Lru.build()),
+            supervisor: Supervisor::new(RetryPolicy::default()),
             recovering_seen: vec![false; gpus],
             healthy_seen: vec![false; gpus],
-        };
-        let mut stats = ServeStats {
-            responses: Vec::new(),
-            sheds: Vec::new(),
-            batches: 0,
-            degraded_batches: 0,
-            duration_s: 0.0,
-            batch_hash: FNV_OFFSET,
-            time_to_fresh_s: Vec::new(),
+            stats: ServeStats {
+                responses: Vec::new(),
+                sheds: Vec::new(),
+                batches: 0,
+                degraded_batches: 0,
+                duration_s: 0.0,
+                batch_hash: FNV_OFFSET,
+                time_to_fresh_s: Vec::new(),
+            },
+            input: Vec::new(),
         };
 
         let mut next = 0usize;
         loop {
             // Admit everything that has arrived by the current virtual
             // time; the bounded queue sheds the overflow.
-            while next < trace.len() && trace[next].arrival_s <= clock.now() {
+            while next < trace.len() && trace[next].arrival_s <= st.clock.now() {
                 let r = trace[next];
                 next += 1;
                 if let Offer::Shed { reason, item } = core.offer(r) {
-                    stats.sheds.push(ShedRecord {
+                    st.stats.sheds.push(ShedRecord {
                         id: item.id,
                         class: item.class,
                         reason,
                     });
                     if ds_trace::active() {
-                        ds_trace::instant(clock.now(), "serve.shed", item.id);
-                        ds_trace::counter(clock.now(), "serve", "shed", 1.0);
+                        ds_trace::instant(st.clock.now(), "serve.shed", item.id);
+                        ds_trace::counter(st.clock.now(), "serve", "shed", 1.0);
                     }
                 }
             }
             // Size trigger (or a pending deadline flush from below).
             if core.batch_ready() {
                 let batch = core.take_ready_batch().expect("ready batch");
-                self.exec_batch(
-                    &mut clock,
-                    &mut serve_cache,
-                    &supervisor,
-                    &mut watch,
-                    &batch,
-                    &mut stats,
-                );
+                self.exec_batch(&mut st, &batch);
                 continue;
             }
             // Next event: the oldest queued request's flush deadline vs
@@ -253,35 +283,28 @@ impl<'a> ServeEngine<'a> {
             let t_arrival = trace.get(next).map(|r| r.arrival_s);
             match (t_flush, t_arrival) {
                 (None, None) => break,
-                (Some(tf), Some(ta)) if ta < tf => clock.wait_until(ta),
+                (Some(tf), Some(ta)) if ta < tf => st.clock.wait_until(ta),
                 (Some(tf), _) => {
-                    clock.wait_until(tf);
+                    st.clock.wait_until(tf);
                     core.request_flush();
                 }
-                (None, Some(ta)) => clock.wait_until(ta),
+                (None, Some(ta)) => st.clock.wait_until(ta),
             }
         }
-        stats.duration_s = clock.now();
-        stats
+        st.stats.duration_s = st.clock.now();
+        st.stats
     }
 
     /// Runs one micro-batch: deadline shed, sample, fetch (NVLink /
     /// stale / serve-local LRU / UVA), forward; appends responses.
-    fn exec_batch(
-        &self,
-        clock: &mut Clock,
-        serve_cache: &mut PolicyCache,
-        supervisor: &Supervisor,
-        watch: &mut ShardWatch,
-        batch: &[Request],
-        stats: &mut ServeStats,
-    ) {
+    fn exec_batch(&self, st: &mut Replay, batch: &[Request]) {
         let cfg = &self.cfg;
         let cluster = &self.layout.cluster;
         let machine = cluster.model();
         let cache = &self.layout.cache;
         let dim = cache.dim();
-        let start = clock.now();
+        let start = st.clock.now();
+        let stats = &mut st.stats;
 
         // Requests already past their class deadline would deliver a
         // dead answer — shed them before spending any kernel time.
@@ -313,7 +336,7 @@ impl<'a> ServeEngine<'a> {
 
         // --- Sampling (CSP-style local streams, serving id space).
         if tracing {
-            ds_trace::span_begin(clock.now(), "serve.sample");
+            ds_trace::span_begin(st.clock.now(), "serve.sample");
         }
         let seeds: Vec<NodeId> = live.iter().map(|r| r.node).collect();
         let sample = local_sample(
@@ -323,7 +346,7 @@ impl<'a> ServeEngine<'a> {
             cfg.seed,
             SERVE_BATCH_BASE + batch_idx,
         );
-        clock.work_on(
+        st.clock.work_on(
             machine.gpu.time_full(
                 (sample.num_edges() + seeds.len()) as u64,
                 machine.sample_cycles_per_item,
@@ -331,50 +354,43 @@ impl<'a> ServeEngine<'a> {
             ResKind::Light,
         );
         if tracing {
-            ds_trace::span_end(clock.now());
+            ds_trace::span_end(st.clock.now());
         }
 
-        // --- Feature fetch for the input set.
+        // --- Feature fetch for the input set. One owner search per
+        // row; each owner's shard status is read once per batch, when
+        // the owner is first met, so the supervisor sees the same calls
+        // in the same order as a per-row read would make.
         if tracing {
-            ds_trace::span_begin(clock.now(), "serve.fetch");
+            ds_trace::span_begin(st.clock.now(), "serve.fetch");
         }
         let input_nodes = sample.input_nodes();
-        let mut remote_rows = vec![0u64; cluster.num_gpus()];
+        let gpus = cluster.num_gpus();
+        let mut remote_rows = vec![0u64; gpus];
+        let mut shard_down: Vec<Option<bool>> = vec![None; gpus];
         let mut cold = 0u64;
         let mut stale_rows = 0u64;
         for &v in input_nodes {
             let owner = cache.owner(v);
-            let status =
-                shard_rebuild_status(cluster, owner, cache.cached_rows(owner) as u64, batch_idx);
-            let shard_down = matches!(
-                status,
-                Some(RebuildStatus::Lost | RebuildStatus::Recovering { .. })
-            );
-            if shard_down && !watch.recovering_seen[owner] {
-                watch.recovering_seen[owner] = true;
-                supervisor.mark_recovering(owner, batch_idx, clock.now());
-            }
-            if let Some(RebuildStatus::Healthy { .. }) = status {
-                if watch.recovering_seen[owner] && !watch.healthy_seen[owner] {
-                    watch.healthy_seen[owner] = true;
-                    if let Some(dt) = supervisor.mark_healthy(owner, batch_idx, clock.now()) {
-                        stats.time_to_fresh_s.push(dt);
-                    }
+            let down = match shard_down[owner] {
+                Some(down) => down,
+                None => {
+                    let down = st.observe_shard(self.layout, owner, batch_idx);
+                    shard_down[owner] = Some(down);
+                    down
                 }
-            }
-            if cache.is_cached(v) {
+            };
+            if cache.lookup(owner, v).is_some() {
                 // Cached rows move over NVLink (or local HBM when the
                 // serving rank owns them). A down shard still *serves*
                 // its warm pre-loss copy — degraded, never wedged.
                 remote_rows[owner] += 1;
-                if shard_down {
+                if down {
                     stale_rows += 1;
                 }
-            } else {
+            } else if let Access::Miss { .. } = st.serve_cache.access(v) {
                 // Cold path: serve-local LRU in front of UVA.
-                if let Access::Miss { .. } = serve_cache.access(v) {
-                    cold += 1;
-                }
+                cold += 1;
             }
         }
         let row_bytes = dim as u64 * 4;
@@ -387,50 +403,51 @@ impl<'a> ServeEngine<'a> {
         let uva = cluster.uva_read(SERVING_RANK, cold, row_bytes);
         // NVLink pulls and UVA reads overlap; the batch waits for the
         // slower of the two, then assembles the input on local HBM.
-        clock.work_on(nv, ResKind::NvLink);
+        st.clock.work_on(nv, ResKind::NvLink);
         if uva > nv {
-            clock.work_on(uva - nv, ResKind::Pcie);
+            st.clock.work_on(uva - nv, ResKind::Pcie);
         }
-        clock.work_on(
+        st.clock.work_on(
             machine.gather_time(input_nodes.len() as u64, row_bytes),
             ResKind::Hbm,
         );
         let degraded = stale_rows > 0;
         if degraded {
-            stats.degraded_batches += 1;
+            st.stats.degraded_batches += 1;
             for (o, &rows) in remote_rows.iter().enumerate() {
-                if rows > 0 && watch.recovering_seen[o] && !watch.healthy_seen[o] {
-                    supervisor.mark_degraded(o);
+                if rows > 0 && st.recovering_seen[o] && !st.healthy_seen[o] {
+                    st.supervisor.mark_degraded(o);
                 }
             }
         }
         if tracing {
-            ds_trace::span_end(clock.now());
+            ds_trace::span_end(st.clock.now());
         }
 
         // --- Forward pass (charged + actually computed: the logits
-        // feed the determinism hash).
+        // feed the determinism hash). Inference only: no tape, no loss.
         if tracing {
-            ds_trace::span_begin(clock.now(), "serve.forward");
+            ds_trace::span_begin(st.clock.now(), "serve.forward");
         }
-        charge_forward(clock, machine, &self.model, &sample);
-        let mut flat = Vec::with_capacity(input_nodes.len() * dim);
+        charge_forward(&mut st.clock, machine, &self.model, &sample);
+        st.input.clear();
         for &v in input_nodes {
-            flat.extend_from_slice(self.layout.features.row(v));
+            st.input.extend_from_slice(self.layout.features.row(v));
         }
-        let input = Matrix::from_vec(input_nodes.len(), dim, flat);
-        let labels = vec![0u32; seeds.len()];
-        let (_loss, tape) = self.model.forward(&sample, &input, &labels);
+        let input = Matrix::from_vec(input_nodes.len(), dim, std::mem::take(&mut st.input));
+        let logits = self.model.infer(&sample, &input);
+        st.input = input.into_vec();
         if tracing {
-            ds_trace::span_end(clock.now());
+            ds_trace::span_end(st.clock.now());
         }
 
-        let finish = clock.now();
+        let finish = st.clock.now();
+        let stats = &mut st.stats;
         fnv1a(&mut stats.batch_hash, &batch_idx.to_le_bytes());
         for r in &live {
             fnv1a(&mut stats.batch_hash, &r.id.to_le_bytes());
         }
-        for &x in tape.logits().data() {
+        for &x in logits.data() {
             fnv1a(&mut stats.batch_hash, &x.to_bits().to_le_bytes());
         }
         for r in &live {

@@ -7,8 +7,14 @@ use ds_simgpu::par;
 /// ReLU forward: `max(x, 0)` elementwise.
 pub fn relu(x: &Matrix) -> Matrix {
     let mut out = x.clone();
-    par::apply_indexed(out.data_mut(), |_, v| *v = v.max(0.0));
+    relu_in_place(&mut out);
     out
+}
+
+/// [`relu`] over `x` itself, for callers that no longer need the
+/// pre-activation (inference keeps no tape).
+pub fn relu_in_place(x: &mut Matrix) {
+    par::apply_indexed(x.data_mut(), |_, v| *v = v.max(0.0));
 }
 
 /// ReLU backward: gradient passes where the *input* was positive.

@@ -8,10 +8,10 @@
 //! determinism contract.
 
 use ds_testkit::prelude::*;
-use dsp::cache::dynamic::{replay, BeladyOracle, DynamicPolicyKind};
+use dsp::cache::dynamic::{replay, BeladyOracle, DynamicPolicy, DynamicPolicyKind, Lru};
 use dsp::core::{DspSystem, TrainConfig};
 use dsp::graph::{DatasetSpec, NodeId};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 fn counts(trace: &[NodeId]) -> HashMap<NodeId, u64> {
     let mut m = HashMap::new();
@@ -47,8 +47,87 @@ fn arb_workload() -> impl Strategy<Value = (Vec<NodeId>, Vec<NodeId>, usize)> {
     )
 }
 
+/// The stamp-ordered LRU the O(1) list replaced, kept as the
+/// differential oracle: every bump takes a fresh monotone stamp and the
+/// victim is the smallest stamp. Obviously right, O(log n) per access.
+#[derive(Default)]
+struct StampLru {
+    stamp: u64,
+    key: HashMap<NodeId, u64>,
+    order: BTreeSet<(u64, NodeId)>,
+}
+
+impl StampLru {
+    fn bump(&mut self, v: NodeId) {
+        if let Some(old) = self.key.insert(v, self.stamp) {
+            self.order.remove(&(old, v));
+        }
+        self.order.insert((self.stamp, v));
+        self.stamp += 1;
+    }
+}
+
+impl DynamicPolicy for StampLru {
+    fn name(&self) -> &'static str {
+        "lru-stamp"
+    }
+    fn seed(&mut self, v: NodeId) {
+        self.bump(v);
+    }
+    fn touch(&mut self, v: NodeId, _pos: u64) {
+        self.bump(v);
+    }
+    fn admit(&mut self, _v: NodeId, _pos: u64, _full: bool) -> bool {
+        true
+    }
+    fn evict(&mut self) -> NodeId {
+        let (_, v) = self.order.pop_first().expect("evict on empty LRU");
+        self.key.remove(&v);
+        v
+    }
+    fn insert(&mut self, v: NodeId, _pos: u64) {
+        self.bump(v);
+    }
+}
+
+/// A trace with repeated ids over a universe up to 4× the capacity, a
+/// warm start of up to `capacity` distinct ids (some outside the
+/// trace's universe), and a capacity of 1–64.
+fn arb_lru_workload() -> impl Strategy<Value = (Vec<NodeId>, Vec<NodeId>, usize)> {
+    (1usize..65, 1u32..5, 0usize..65, any::<u64>(), 1usize..600).prop_map(
+        |(capacity, spread, warm_len, seed, len)| {
+            let universe = capacity as u32 * spread + 1;
+            let mut x = seed | 1;
+            let mut next = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) as u32
+            };
+            let trace: Vec<NodeId> = (0..len).map(|_| next() % universe).collect();
+            let mut warm: Vec<NodeId> = (0..universe + 8).collect();
+            for i in (1..warm.len()).rev() {
+                warm.swap(i, next() as usize % (i + 1));
+            }
+            warm.truncate(warm_len.min(capacity));
+            (trace, warm, capacity)
+        },
+    )
+}
+
 props! {
     #![cases(48)]
+
+    #[test]
+    fn lru_matches_the_stamp_ordered_oracle(
+        (trace, warm, capacity) in arb_lru_workload(),
+    ) {
+        let fast = replay(Box::<Lru>::default(), capacity, &warm, None, &trace);
+        let oracle = replay(Box::<StampLru>::default(), capacity, &warm, None, &trace);
+        prop_assert_eq!(fast.decisions(), oracle.decisions(), "LRU decision stream diverged");
+        prop_assert_eq!(fast.decision_hash(), oracle.decision_hash());
+        prop_assert_eq!(fast.stats(), oracle.stats());
+    }
 
     #[test]
     fn every_policy_obeys_the_cache_invariants(
